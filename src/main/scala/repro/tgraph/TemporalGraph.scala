@@ -21,6 +21,11 @@ final case class TEdge(u: Int, v: Int, ts: Array[Int]) {
   */
 final class TemporalGraph(val edges: Array[TEdge]) {
 
+  // Every span `t - t'` (mts, δ) is an Int, which holds only while the
+  // whole timestamp range fits in one.
+  require(tMax.toLong - tMin <= Int.MaxValue,
+    s"timestamp range [$tMin, $tMax] is wider than Int.MaxValue; time spans would overflow")
+
   /** Number of static edges `|E|`. */
   def m: Int = edges.length
 
@@ -59,20 +64,18 @@ final class TemporalGraph(val edges: Array[TEdge]) {
 
   def degree(v: Int): Int = if (v < nVertexIds) adj(v).length else 0
 
-  private lazy val idIndex: java.util.HashMap[Long, Integer] = {
-    val mmap = new java.util.HashMap[Long, Integer](edges.length * 2)
-    var i = 0
-    while (i < edges.length) {
-      mmap.put((edges(i).u.toLong << 32) | edges(i).v.toLong, i); i += 1
-    }
-    mmap
-  }
-
-  /** Edge id of canonical pair `(u, v)` with `u < v`, or -1 if absent. */
+  /** Edge id of the pair `{u, v}` in either orientation, or -1 if absent:
+    * a binary search of `v`'s first entry in the row of the lower endpoint.
+    */
   def edgeId(u: Int, v: Int): Int = {
-    val (a, b) = if (u < v) (u, v) else (v, u)
-    val r = idIndex.get((a.toLong << 32) | b.toLong)
-    if (r == null) -1 else r.intValue()
+    val a = math.min(u, v); val b = math.max(u, v)
+    if (a < 0 || b >= nVertexIds) -1
+    else {
+      val row = adj(a)
+      val i = java.util.Arrays.binarySearch(row, b.toLong << 32)
+      val p = if (i >= 0) i else -i - 1
+      if (p < row.length && nbrOf(row(p)) == b) eidOf(row(p)) else -1
+    }
   }
 
   /** Smallest timestamp in the graph (0 for an empty graph). */
@@ -96,18 +99,58 @@ final class TemporalGraph(val edges: Array[TEdge]) {
 object TemporalGraph {
 
   /** Build from raw interaction triples `(u, v, t)`: canonicalizes pairs,
-    * drops self loops, dedupes and sorts timestamps per static edge.
+    * drops self loops, dedupes and sorts timestamps per static edge. Edge
+    * ids follow the lexicographic order of `(u, v)`.
+    *
+    * Interactions are bucketed by their lower endpoint; each bucket holds
+    * `(hi << 32) | (t ^ Int.MinValue)` longs, whose sort orders by `hi`,
+    * then by signed `t`, so each static edge is one run of equal `hi`.
     */
   def fromInteractions(rows: Iterable[(Int, Int, Int)]): TemporalGraph = {
-    val byEdge = scala.collection.mutable.HashMap.empty[(Int, Int), scala.collection.mutable.TreeSet[Int]]
-    rows.foreach { case (u, v, t) =>
+    var n = 0; var maxLo = -1
+    rows.foreach { case (u, v, _) =>
       if (u != v) {
-        val key = if (u < v) (u, v) else (v, u)
-        byEdge.getOrElseUpdate(key, scala.collection.mutable.TreeSet.empty[Int]) += t
+        val lo = math.min(u, v)
+        require(lo >= 0, s"vertex ids must be non-negative, got ($u, $v)")
+        n += 1; maxLo = math.max(maxLo, lo)
       }
     }
-    val es = byEdge.toArray.sortBy(_._1).map { case ((u, v), ts) => TEdge(u, v, ts.toArray) }
-    new TemporalGraph(es)
+    // start(lo) .. start(lo + 1) is the bucket of lower endpoint lo
+    val start = new Array[Int](maxLo + 2)
+    rows.foreach { case (u, v, _) => if (u != v) start(math.min(u, v) + 1) += 1 }
+    var lo = 0
+    while (lo <= maxLo) { start(lo + 1) += start(lo); lo += 1 }
+    val fill = java.util.Arrays.copyOf(start, maxLo + 1)
+    val keys = new Array[Long](n)
+    rows.foreach { case (u, v, t) =>
+      if (u != v) {
+        val lo = math.min(u, v)
+        keys(fill(lo)) = (math.max(u, v).toLong << 32) | ((t ^ Int.MinValue) & 0xffffffffL)
+        fill(lo) += 1
+      }
+    }
+    val es = Array.newBuilder[TEdge]
+    lo = 0
+    while (lo <= maxLo) {
+      java.util.Arrays.sort(keys, start(lo), start(lo + 1))
+      // compact the bucket's duplicate keys in place, to keys[start(lo), end)
+      var end = start(lo)
+      var r = start(lo)
+      while (r < start(lo + 1)) {
+        if (end == start(lo) || keys(r) != keys(end - 1)) { keys(end) = keys(r); end += 1 }
+        r += 1
+      }
+      var i = start(lo)
+      while (i < end) {
+        val hi = (keys(i) >>> 32).toInt
+        var j = i + 1
+        while (j < end && (keys(j) >>> 32).toInt == hi) j += 1
+        es += TEdge(lo, hi, Array.tabulate(j - i)(k => keys(i + k).toInt ^ Int.MinValue))
+        i = j
+      }
+      lo += 1
+    }
+    new TemporalGraph(es.result())
   }
 
   /** Convenience for tests: edges given as `(u, v, timestamps)`. */

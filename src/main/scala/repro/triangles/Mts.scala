@@ -16,10 +16,17 @@ object Mts {
     * heads and advance the pointer holding the minimum — the classic proof
     * that no candidate window is skipped carries over verbatim.
     */
-  def of(a: Array[Int], b: Array[Int], c: Array[Int]): Int = {
-    var i = 0; var j = 0; var k = 0
+  def of(a: Array[Int], b: Array[Int], c: Array[Int]): Int =
+    of(a, 0, a.length, b, 0, b.length, c, 0, c.length)
+
+  /** [[of]] over the sorted slices `a[aLo, aHi)`, `b[bLo, bHi)` and
+    * `c[cLo, cHi)`.
+    */
+  def of(a: Array[Int], aLo: Int, aHi: Int, b: Array[Int], bLo: Int, bHi: Int,
+         c: Array[Int], cLo: Int, cHi: Int): Int = {
+    var i = aLo; var j = bLo; var k = cLo
     var best = Int.MaxValue
-    while (i < a.length && j < b.length && k < c.length && best > 0) {
+    while (i < aHi && j < bHi && k < cHi && best > 0) {
       val x = a(i); val y = b(j); val z = c(k)
       val hi = math.max(x, math.max(y, z))
       val lo = math.min(x, math.min(y, z))

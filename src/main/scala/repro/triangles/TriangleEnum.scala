@@ -4,15 +4,28 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.tgraph.TemporalGraph
 
-/** Spark SQL (Catalyst) triangle enumeration with minimum-time-span
-  * evaluation — the data-parallel workhorse of the reproduction.
+/** Spark triangle enumeration with minimum-time-span evaluation.
   *
   * Per the paper's complexity analysis, the dominant cost of both the online
   * algorithm and index construction is `O(Σ min(deg) + |τ|·|Δ|)`: listing all
-  * triangles and evaluating mts over their timestamp arrays. That part runs
-  * here as a double self-join over the canonical edge DataFrame; the
-  * fine-grained peeling state machines (DBA/MBA) then consume the collected
-  * δ-triangle list on the driver.
+  * triangles and evaluating mts over their timestamp arrays. Two paths run
+  * it here:
+  *
+  *  - [[triangleSet]], for a driver-resident graph (every index build):
+  *    one Spark job over a broadcast adjacency, each task running the
+  *    sorted-merge kernel of [[DriverTriangles]] over a range of edge ids.
+  *    The fine-grained peeling state machines (DBA/MBA) then consume the
+  *    collected δ-triangle list on the driver.
+  *  - [[triangles]], for DataFrame-resident edges: a relational triple
+  *    self-join, used by `DistTruss` and [[mtsHistogram]] and checked
+  *    against the DuckDB and GraphX oracles.
+  *
+  * For driver-resident graphs the self-join cost about 15× the
+  * single-threaded driver loop on wikitalk-lite, all of it fixed Catalyst
+  * overhead. The broadcast job splits the driver's own loop across the
+  * cores: on `local[4]` it has a fixed cost of about 50 ms per call and is on
+  * par with [[DriverTriangles.enumerate]] from about 170K edges (DESIGN.md
+  * §1, "Spark/driver crossover").
   */
 object TriangleEnum {
 
@@ -40,17 +53,24 @@ object TriangleEnum {
       )
   }
 
-  /** Convenience: enumerate triangles of a driver-side graph through Spark
-    * and collect them back as a [[TriangleSet]] keyed by edge ids.
+  /** Triangles of a driver-resident graph as one Spark job: the graph's
+    * primitive arrays are broadcast once, each of `defaultParallelism` tasks
+    * runs the [[DriverTriangles.enumerateRange]] kernel over a contiguous
+    * range of edge ids, and the packed task outputs are concatenated in
+    * range order — so the result equals [[DriverTriangles.enumerate]] tuple
+    * for tuple, in the same order.
     */
   def triangleSet(spark: SparkSession, g: TemporalGraph): TriangleSet = {
-    val df = triangles(TemporalGraph.toGroupedDF(spark, g))
-    val tris = df.select("a", "b", "c", "mts").collect().map { r =>
-      val a = r.getInt(0); val b = r.getInt(1); val c = r.getInt(2); val mts = r.getInt(3)
-      val ids = Array(g.edgeId(a, b), g.edgeId(b, c), g.edgeId(a, c)).sorted
-      Tri(ids(0), ids(1), ids(2), mts)
-    }
-    new TriangleSet(tris, g.m)
+    val sc = spark.sparkContext
+    val arrays = sc.broadcast(GraphArrays.of(g))
+    try {
+      val m = g.m
+      val parts = sc.defaultParallelism
+      val packed = sc.parallelize(0 until parts, parts).map { i =>
+        DriverTriangles.enumerateRange(arrays.value, (m.toLong * i / parts).toInt, (m.toLong * (i + 1) / parts).toInt)
+      }.collect()
+      TriangleSet.fromPacked(Array.concat(packed: _*), m)
+    } finally arrays.destroy()
   }
 
   /** Distribution of triangle counts over mts (the paper's Fig 9 / empirical

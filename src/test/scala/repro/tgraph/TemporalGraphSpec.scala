@@ -10,6 +10,31 @@ class TemporalGraphSpec extends AnyFunSuite {
     assert(g.m == 1) // self loop dropped, (2,5) merged
     assert(g.edges(0).u == 2 && g.edges(0).v == 5)
     assert(g.edges(0).ts.toSeq == Seq(3, 9))
+
+    // shuffled, duplicated, both orientations, negative and Int-extreme
+    // timestamps (each graph's range fits in an Int)
+    val rnd = new scala.util.Random(7)
+    for (pool <- Seq(Seq(Int.MinValue, Int.MinValue + 1, -7, -1),
+                     Seq(-3, 0, 5, 1 << 20),
+                     Seq(0, 1, Int.MaxValue - 1, Int.MaxValue))) {
+      val once = Seq.fill(120)((rnd.nextInt(8), rnd.nextInt(8), pool(rnd.nextInt(pool.size))))
+      val inter = rnd.shuffle(once ++ once.map { case (u, v, t) => (v, u, t) })
+      val expect = inter.filter { case (u, v, _) => u != v }
+        .groupBy { case (u, v, _) => (math.min(u, v), math.max(u, v)) }
+        .toSeq.sortBy(_._1)
+        .map { case ((u, v), xs) => (u, v, xs.map(_._3).distinct.sorted) }
+      val got = TemporalGraph.fromInteractions(inter)
+      assert(got.edges.toSeq.map(e => (e.u, e.v, e.ts.toSeq)) == expect)
+    }
+  }
+
+  test("timestamp ranges wider than Int are rejected at construction") {
+    val e = intercept[IllegalArgumentException](
+      TemporalGraph((0, 1, Seq(Int.MinValue + 5)), (1, 2, Seq(Int.MaxValue - 5)), (0, 2, Seq(0))))
+    assert(e.getMessage.contains(s"[${Int.MinValue + 5}, ${Int.MaxValue - 5}]"))
+    intercept[IllegalArgumentException](new TemporalGraph(Array(TEdge(0, 1, Array(-1, Int.MaxValue)))))
+    // a range of exactly Int.MaxValue still fits
+    assert(new TemporalGraph(Array(TEdge(0, 1, Array(-1, Int.MaxValue - 1)))).m == 1)
   }
 
   test("edgeId resolves both orientations; missing pairs give -1") {
@@ -18,6 +43,9 @@ class TemporalGraphSpec extends AnyFunSuite {
     assert(g.edgeId(1, 2) >= 0)
     assert(g.edgeId(1, 3) == -1)
     assert(g.edgeId(7, 9) == -1)
+    val h = TemporalGraph((0, 4, Seq(1)), (0, 2, Seq(1)), (2, 3, Seq(1)), (3, 4, Seq(1)), (1, 4, Seq(1)))
+    for ((e, i) <- h.edges.zipWithIndex) assert(h.edgeId(e.u, e.v) == i && h.edgeId(e.v, e.u) == i)
+    assert(h.edgeId(0, 3) == -1 && h.edgeId(2, 4) == -1 && h.edgeId(-1, 2) == -1)
   }
 
   test("adjacency is sorted by neighbor and covers both directions") {

@@ -15,25 +15,45 @@ class TriangleEnumSpec extends SparkSpec {
     TriangleEnum.triangles(TemporalGraph.toGroupedDF(spark, g))
       .collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(2), r.getInt(3))).toSet
 
-  private def driverTris(g: TemporalGraph): Set[(Int, Int, Int, Int)] = {
-    val ts = DriverTriangles.enumerate(g)
+  /** A triangle list keyed by edge ids, as vertex triples `a < b < c`. */
+  private def vertexTris(g: TemporalGraph, ts: TriangleSet): Set[(Int, Int, Int, Int)] =
     ts.tris.map { t =>
-      // edge ids back to vertex triple a < b < c
       val vs = Array(t.e1, t.e2, t.e3).flatMap(e => Array(g.edges(e).u, g.edges(e).v))
         .distinct.sorted
       (vs(0), vs(1), vs(2), t.mts)
     }.toSet
+
+  /** The broadcast job equals the driver kernel tuple for tuple, in order,
+    * and both equal the relational self-join.
+    */
+  private def assertPathsAgree(g: TemporalGraph): Unit = {
+    val viaJob = TriangleEnum.triangleSet(spark, g)
+    val viaDriver = DriverTriangles.enumerate(g)
+    assert(viaJob.m == g.m)
+    assert(viaJob.tris.toSeq == viaDriver.tris.toSeq)
+    assert(sparkTris(g) == vertexTris(g, viaDriver))
   }
 
   for (seed <- 0 until 6) {
     test(s"random graph seed=$seed: Spark enumeration equals driver reference (with mts)") {
-      val g = TestGraphs.random(seed)
-      assert(sparkTris(g) == driverTris(g))
+      assertPathsAgree(TestGraphs.random(seed))
     }
   }
 
   test("running example: Spark and driver agree") {
-    assert(sparkTris(TestGraphs.running) == driverTris(TestGraphs.running))
+    assertPathsAgree(TestGraphs.running)
+  }
+
+  for ((name, g) <- Seq(
+    "empty graph" -> new TemporalGraph(Array.empty),
+    "triangle-free star" -> TemporalGraph((1 to 8).map(v => (0, v, Seq(v, 2 * v))): _*),
+    // three edges: on four or more cores, fewer than defaultParallelism, so
+    // some tasks get no edges
+    "single triangle" -> TemporalGraph((0, 1, Seq(1, 9)), (1, 2, Seq(4)), (0, 2, Seq(7))),
+  )) {
+    test(s"$name: Spark and driver agree") {
+      assertPathsAgree(g)
+    }
   }
 
   test("oracle: triangle-with-mts result matches DuckDB SQL over exploded temporal edges") {
@@ -83,10 +103,7 @@ class TriangleEnumSpec extends SparkSpec {
   test("generator analog graph: spark triangle set builds a consistent TriangleSet") {
     val g = TemporalGraphGen.generate(
       TemporalGraphGen.GenCfgForTest.copy(seed = 5))
-    val viaSpark = TriangleEnum.triangleSet(spark, g)
-    val viaDriver = DriverTriangles.enumerate(g)
-    assert(viaSpark.size == viaDriver.size)
-    assert(viaSpark.tris.map(t => (t.e1, t.e2, t.e3, t.mts)).toSet ==
-      viaDriver.tris.map(t => (t.e1, t.e2, t.e3, t.mts)).toSet)
+    assert(DriverTriangles.enumerate(g).size > 0)
+    assertPathsAgree(g)
   }
 }
