@@ -24,6 +24,7 @@ object DBA {
     val spans = Array.tabulate(m)(e => Array.fill(math.max(0, trn(e) - 2))(-1))
     val dMax = ts.deltaMax
 
+    val byMts = ts.byMts
     var k = 3
     while (k <= kMax) {
       // T_{k,δmax} = static k-truss; triangles alive iff fully inside it
@@ -32,27 +33,28 @@ object DBA {
       val sup = new Array[Int](m)
       var i = 0
       while (i < ts.size) {
-        val t = ts.tris(i)
-        if (alive(t.e1) && alive(t.e2) && alive(t.e3)) {
+        val a = ts.e1(i); val b = ts.e2(i); val c = ts.e3(i)
+        if (alive(a) && alive(b) && alive(c)) {
           triAlive(i) = true
-          sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
+          sup(a) += 1; sup(b) += 1; sup(c) += 1
         }
         i += 1
       }
       val queue = scala.collection.mutable.ArrayDeque.empty[Int]
+      // invalidate tid; a peeled edge's own support is never read again
+      def kill(tid: Int): Unit = {
+        triAlive(tid) = false
+        val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
+        sup(a) -= 1; if (alive(a) && sup(a) < k - 2) queue += a
+        sup(b) -= 1; if (alive(b) && sup(b) < k - 2) queue += b
+        sup(c) -= 1; if (alive(c) && sup(c) < k - 2) queue += c
+      }
       var delta = dMax
       while (delta >= 1) {
-        val bucket = ts.byMts(delta)
+        val bucket = byMts(delta)
         var bi = 0
         while (bi < bucket.length) {
-          val tid = bucket(bi)
-          if (triAlive(tid)) {
-            triAlive(tid) = false
-            val t = ts.tris(tid)
-            sup(t.e1) -= 1; if (alive(t.e1) && sup(t.e1) < k - 2) queue += t.e1
-            sup(t.e2) -= 1; if (alive(t.e2) && sup(t.e2) < k - 2) queue += t.e2
-            sup(t.e3) -= 1; if (alive(t.e3) && sup(t.e3) < k - 2) queue += t.e3
-          }
+          if (triAlive(bucket(bi))) kill(bucket(bi))
           bi += 1
         }
         while (queue.nonEmpty) {
@@ -63,13 +65,7 @@ object DBA {
             val incident = ts.byEdge(e)
             var ti = 0
             while (ti < incident.length) {
-              val tid = incident(ti)
-              if (triAlive(tid)) {
-                triAlive(tid) = false
-                val (f1, f2) = ts.tris(tid).others(e)
-                sup(f1) -= 1; if (alive(f1) && sup(f1) < k - 2) queue += f1
-                sup(f2) -= 1; if (alive(f2) && sup(f2) < k - 2) queue += f2
-              }
+              if (triAlive(incident(ti))) kill(incident(ti))
               ti += 1
             }
           }

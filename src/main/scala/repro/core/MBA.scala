@@ -21,8 +21,8 @@ import repro.truss.TrussDecomposition
   * containing `e` inside `e`'s own trn-truss, always ≥ trn(e)−2): only
   * edges at the triangle's level are touched, and trussness drops propagate
   * by a BFS over same-level triangles. The inner loops are written
-  * allocation-free (flat int arrays, manual stack) — they dominate the
-  * construction time on high-kmax graphs.
+  * allocation-free (the store's flat accessors, int arrays, a manual
+  * stack) — they dominate the construction time on high-kmax graphs.
   */
 object MBA {
 
@@ -37,18 +37,11 @@ object MBA {
     val valid = new Array[Boolean](nTri)
     java.util.Arrays.fill(valid, true)
 
-    // flat copies of the triangle edge ids for allocation-free access
-    val tE1 = new Array[Int](nTri); val tE2 = new Array[Int](nTri); val tE3 = new Array[Int](nTri)
-    var i = 0
-    while (i < nTri) {
-      val t = ts.tris(i); tE1(i) = t.e1; tE2(i) = t.e2; tE3(i) = t.e3; i += 1
-    }
-
     // ks(e) = number of valid triangles containing e at level trn(e)
     val ks = new Array[Int](m)
-    i = 0
+    var i = 0
     while (i < nTri) {
-      val a = tE1(i); val b = tE2(i); val c = tE3(i)
+      val a = ts.e1(i); val b = ts.e2(i); val c = ts.e3(i)
       var lvl = trn(a)
       if (trn(b) < lvl) lvl = trn(b)
       if (trn(c) < lvl) lvl = trn(c)
@@ -68,7 +61,7 @@ object MBA {
 
     def invalidate(tid: Int, delta: Int): Unit = {
       valid(tid) = false
-      val a = tE1(tid); val b = tE2(tid); val c = tE3(tid)
+      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
       var lvl = trn(a)
       if (trn(b) < lvl) lvl = trn(b)
       if (trn(c) < lvl) lvl = trn(c)
@@ -88,10 +81,9 @@ object MBA {
           while (ti < incident.length) {
             val tid2 = incident(ti)
             if (valid(tid2)) {
-              var f1 = tE1(tid2); var f2 = tE2(tid2)
-              val f3 = tE3(tid2)
               // companions of e in tid2
-              if (f1 == e) { f1 = f3 } else if (f2 == e) { f2 = f3 }
+              var f1 = ts.e1(tid2); var f2 = ts.e2(tid2)
+              if (f1 == e) f1 = ts.e3(tid2) else if (f2 == e) f2 = ts.e3(tid2)
               val mino = if (trn(f1) < trn(f2)) trn(f1) else trn(f2)
               // level drops oldK → oldK−1 iff e was the unique minimum
               if (mino >= oldK) {
@@ -108,9 +100,10 @@ object MBA {
       }
     }
 
+    val byMts = ts.byMts
     var delta = dMax
     while (delta >= 1) {
-      val bucket = ts.byMts(delta)
+      val bucket = byMts(delta)
       var bi = 0
       while (bi < bucket.length) { invalidate(bucket(bi), delta); bi += 1 }
       delta -= 1

@@ -22,10 +22,9 @@ object OnlineQuery {
     val sup = new Array[Int](m)
     var i = 0
     while (i < ts.size) {
-      val t = ts.tris(i)
-      if (t.mts <= delta) {
+      if (ts.mts(i) <= delta) {
         triAlive(i) = true
-        sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
+        sup(ts.e1(i)) += 1; sup(ts.e2(i)) += 1; sup(ts.e3(i)) += 1
       }
       i += 1
     }
@@ -43,14 +42,15 @@ object OnlineQuery {
           val tid = incident(ti)
           if (triAlive(tid)) {
             triAlive(tid) = false
-            val (f1, f2) = ts.tris(tid).others(cur)
-            sup(f1) -= 1; if (alive(f1) && sup(f1) < k - 2) queue += f1
-            sup(f2) -= 1; if (alive(f2) && sup(f2) < k - 2) queue += f2
+            // cur is dead, so its own decrement is never read
+            val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
+            sup(a) -= 1; if (alive(a) && sup(a) < k - 2) queue += a
+            sup(b) -= 1; if (alive(b) && sup(b) < k - 2) queue += b
+            sup(c) -= 1; if (alive(c) && sup(c) < k - 2) queue += c
           }
           ti += 1
         }
       }
-      e += 1
     }
     (0 until m).filter(alive).toArray
   }

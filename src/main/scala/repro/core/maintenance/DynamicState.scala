@@ -3,12 +3,17 @@ package repro.core.maintenance
 import scala.collection.mutable
 import repro.core.KSpanTable
 import repro.tgraph.{TEdge, TemporalGraph}
-import repro.triangles.{Mts, Tri, TriangleAccess, TriangleSet}
+import repro.triangles.{Mts, TriangleSet}
 
 /** Mutable companion of a temporal graph plus its complete (k,δ)-truss
   * answer state — everything §VI's filter-and-verification algorithm reads
-  * and writes: the timestamped edges, the triangle store with live mts
-  * values, the static trussness and the k-span table.
+  * and writes: the timestamped edges and their time range, the δ-triangle
+  * store `ts`, the static trussness and the k-span table.
+  *
+  * `ts` is the state's own copy of the [[TriangleSet]] it was seeded with,
+  * and its only triangle store: [[addEdge]] appends the triangles a new
+  * edge closes, [[addTimestamp]] lowers their mts in place. The seeding
+  * set and table are never modified.
   *
   * Growth-only by design (the paper assumes history is immutable: edges and
   * timestamps are only inserted).
@@ -18,24 +23,14 @@ final class DynamicState private (
     val eV: mutable.ArrayBuffer[Int],
     val eTs: mutable.ArrayBuffer[Array[Int]],
     val adjOf: mutable.ArrayBuffer[mutable.HashMap[Int, Int]], // vertex -> (nbr -> eid)
-    val triA: mutable.ArrayBuffer[Int],
-    val triB: mutable.ArrayBuffer[Int],
-    val triC: mutable.ArrayBuffer[Int],
-    val triMts: mutable.ArrayBuffer[Int],
-    val triByEdge: mutable.ArrayBuffer[mutable.ArrayBuffer[Int]],
+    val ts: TriangleSet,
     val trn: mutable.ArrayBuffer[Int],
     val kspan: mutable.ArrayBuffer[Array[Int]],
-) extends TriangleAccess {
+    private var tLo: Int,
+    private var tHi: Int,
+) {
 
   def m: Int = eU.length
-  def numTris: Int = triA.length
-
-  override def trianglesOf(e: Int): scala.collection.IndexedSeq[Int] = triByEdge(e)
-
-  override def othersOf(tid: Int, e: Int): (Int, Int) = {
-    val a = triA(tid); val b = triB(tid); val c = triC(tid)
-    if (e == a) (b, c) else if (e == b) (a, c) else (a, b)
-  }
 
   def edgeId(u: Int, v: Int): Int = {
     val (a, b) = if (u < v) (u, v) else (v, u)
@@ -48,6 +43,17 @@ final class DynamicState private (
   def ensureVertex(v: Int): Unit =
     while (adjOf.length <= v) adjOf += mutable.HashMap.empty[Int, Int]
 
+  /** Whether timestamp `t` keeps the state's time range `[tMin, tMax]`
+    * within `Int.MaxValue`, the rule of the [[TemporalGraph]] constructor
+    * that keeps every mts from overflowing.
+    */
+  def admits(t: Int): Boolean = m == 0 || math.max(tHi, t).toLong - math.min(tLo, t) <= Int.MaxValue
+
+  private def widen(t: Int): Unit = {
+    if (m == 0) { tLo = t; tHi = t }
+    else { tLo = math.min(tLo, t); tHi = math.max(tHi, t) }
+  }
+
   /** Append a brand-new static edge (canonical `u < v`) with one timestamp;
     * registers its triangles (common-neighbor scan) and returns
     * `(edgeId, newTriangleIds)`. Trussness/k-span state is extended with
@@ -56,30 +62,24 @@ final class DynamicState private (
   def addEdge(u: Int, v: Int, t: Int): (Int, Seq[Int]) = {
     require(u < v && edgeId(u, v) < 0)
     ensureVertex(v)
+    widen(t)
     val eid = m
     eU += u; eV += v; eTs += Array(t)
     adjOf(u)(v) = eid; adjOf(v)(u) = eid
-    triByEdge += mutable.ArrayBuffer.empty[Int]
     trn += 2
     kspan += Array.emptyIntArray
-    val newTris = mutable.ArrayBuffer.empty[Int]
-    // common neighbors of u and v
+    // every triangle through eid is (e1, e2, eid): eid is the largest id
+    val closed = new mutable.ArrayBuilder.ofInt
     val (small, large) = if (adjOf(u).size <= adjOf(v).size) (u, v) else (v, u)
-    for ((w, eSmall) <- adjOf(small) if w != u && w != v) {
-      adjOf(large).get(w) match {
-        case Some(eLarge) =>
-          val ids = Array(eid, eSmall, eLarge).sorted
-          val tid = numTris
-          triA += ids(0); triB += ids(1); triC += ids(2)
-          val mtsNew = Mts.of(eTs(ids(0)), eTs(ids(1)), eTs(ids(2)))
-          triMts += mtsNew
-          bumpDeltaUB(mtsNew)
-          triByEdge(ids(0)) += tid; triByEdge(ids(1)) += tid; triByEdge(ids(2)) += tid
-          newTris += tid
-        case None =>
-      }
+    for ((w, eSmall) <- adjOf(small) if w != u && w != v; eLarge <- adjOf(large).get(w)) {
+      val a = math.min(eSmall, eLarge); val b = math.max(eSmall, eLarge)
+      val mtsNew = Mts.of(eTs(a), eTs(b), eTs(eid))
+      bumpDeltaUB(mtsNew)
+      closed += a += b += eid += mtsNew
     }
-    (eid, newTris.toSeq)
+    val first = ts.size
+    ts.addEdge(closed.result())
+    (eid, first until ts.size)
   }
 
   /** Add timestamp `t` to existing edge `e` (no-op if already present);
@@ -87,22 +87,23 @@ final class DynamicState private (
     * triangles whose mts changed as `(tid, oldMts, newMts)`.
     */
   def addTimestamp(e: Int, t: Int): Seq[(Int, Int, Int)] = {
-    val ts = eTs(e)
-    val pos = java.util.Arrays.binarySearch(ts, t)
+    val ts0 = eTs(e)
+    val pos = java.util.Arrays.binarySearch(ts0, t)
     if (pos >= 0) return Seq.empty
+    widen(t)
     val ins = -pos - 1
-    val nts = new Array[Int](ts.length + 1)
-    System.arraycopy(ts, 0, nts, 0, ins)
+    val nts = new Array[Int](ts0.length + 1)
+    System.arraycopy(ts0, 0, nts, 0, ins)
     nts(ins) = t
-    System.arraycopy(ts, ins, nts, ins + 1, ts.length - ins)
+    System.arraycopy(ts0, ins, nts, ins + 1, ts0.length - ins)
     eTs(e) = nts
     val changed = mutable.ArrayBuffer.empty[(Int, Int, Int)]
-    for (tid <- triByEdge(e)) {
-      val old = triMts(tid)
-      val nu = Mts.of(eTs(triA(tid)), eTs(triB(tid)), eTs(triC(tid)))
+    for (tid <- ts.byEdge(e)) {
+      val old = ts.mts(tid)
+      val nu = Mts.of(eTs(ts.e1(tid)), eTs(ts.e2(tid)), eTs(ts.e3(tid)))
       if (nu != old) {
         assert(nu < old, s"mts may only shrink on timestamp insertion ($old -> $nu)")
-        triMts(tid) = nu
+        ts.setMts(tid, nu)
         changed += ((tid, old, nu))
       }
     }
@@ -127,20 +128,17 @@ final class DynamicState private (
   def snapshotGraph: TemporalGraph =
     new TemporalGraph(Array.tabulate(m)(e => TEdge(eU(e), eV(e), eTs(e))))
 
-  def snapshotTriangles: TriangleSet =
-    new TriangleSet(Array.tabulate(numTris)(i => Tri(triA(i), triB(i), triC(i), triMts(i))), m)
-
-  def deltaMax: Int = if (numTris == 0) 0 else triMts.max
+  def snapshotTriangles: TriangleSet = ts.copy
 
   def snapshotTable: KSpanTable =
-    new KSpanTable(trn.toArray, kspan.map(_.clone()).toArray, deltaMax)
+    new KSpanTable(trn.toArray, kspan.map(_.clone()).toArray, ts.deltaMax)
 
   /** Monotone upper bound on deltaMax (mts only shrinks; new triangles may
     * raise it) — lets [[tableView]] avoid the O(|Δ|) max scan per call.
     */
-  private var deltaMaxUB: Int = if (triMts.isEmpty) 0 else triMts.max
+  private var deltaMaxUB: Int = ts.deltaMax
 
-  private[maintenance] def bumpDeltaUB(mts: Int): Unit =
+  private def bumpDeltaUB(mts: Int): Unit =
     if (mts > deltaMaxUB) deltaMaxUB = mts
 
   /** O(m) zero-copy view of the current k-span state (span rows shared, not
@@ -162,13 +160,10 @@ object DynamicState {
       mutable.ArrayBuffer.from(g.edges.map(_.v)),
       mutable.ArrayBuffer.from(g.edges.map(_.ts.clone())),
       adj,
-      mutable.ArrayBuffer.from(ts.tris.map(_.e1)),
-      mutable.ArrayBuffer.from(ts.tris.map(_.e2)),
-      mutable.ArrayBuffer.from(ts.tris.map(_.e3)),
-      mutable.ArrayBuffer.from(ts.tris.map(_.mts)),
-      mutable.ArrayBuffer.tabulate(g.m)(e => mutable.ArrayBuffer.from(ts.byEdge(e))),
+      ts.copy,
       mutable.ArrayBuffer.from(table.trn),
       mutable.ArrayBuffer.from(table.spans.map(_.clone())),
+      g.tMin, g.tMax,
     )
   }
 }

@@ -45,9 +45,15 @@ object IndexMaintenance {
       changedLevels: Set[Int],
   )
 
-  /** Insert temporal edge `(u, v, t)` and restore the full k-span state. */
+  /** Insert temporal edge `(u, v, t)` and restore the full k-span state.
+    * Throws `IllegalArgumentException`, with the state untouched, on a self
+    * loop, a negative vertex id, or a `t` that would widen the state's time
+    * range past `Int.MaxValue`.
+    */
   def insert(st: DynamicState, uRaw: Int, vRaw: Int, t: Int): InsertReport = {
     require(uRaw != vRaw, "self loops are not part of the model")
+    require(uRaw >= 0 && vRaw >= 0, s"vertex ids must be non-negative, got ($uRaw, $vRaw)")
+    require(st.admits(t), s"timestamp $t widens the time range past Int.MaxValue; time spans would overflow")
     val (u, v) = if (uRaw < vRaw) (uRaw, vRaw) else (vRaw, uRaw)
     st.ensureVertex(v)
     val existing = st.edgeId(u, v)
@@ -64,7 +70,7 @@ object IndexMaintenance {
 
       // --- static trussness maintenance (filter of k) --------------------
       val trnArr = st.trn.toArray
-      val upgraded = TrussInsert.maintain(st, trnArr, e0)
+      val upgraded = TrussInsert.maintain(st.ts, trnArr, e0)
       var i = 0
       while (i < trnArr.length) { st.trn(i) = trnArr(i); i += 1 }
       val kHigh = st.trn(e0)
@@ -94,7 +100,7 @@ object IndexMaintenance {
       // k-world), plus pre-existing triangles that enter the k-world of an
       // upgraded edge's new level; all treated as mts ∞ → mts
       val cand = mutable.HashSet.empty[Int] ++ newTris
-      for ((_, es) <- entrantsAt; e <- es; tid <- st.trianglesOf(e)) cand += tid
+      for ((_, es) <- entrantsAt; e <- es; tid <- st.ts.byEdge(e)) cand += tid
       val (ks, region, spans, levels) =
         maintainSpans(st, kHigh = kHigh, candidateTris = cand.toSet,
           oldMtsOf = Map.empty.withDefaultValue(Int.MaxValue),
@@ -117,11 +123,13 @@ object IndexMaintenance {
   private def jointUpperBound(st: DynamicState, k: Int, newish: Set[Int]): Int = {
     var bound = 0
     var found = false
-    for (e <- newish if st.trn(e) >= k; tid <- st.trianglesOf(e)) {
-      val (a, b) = st.othersOf(tid, e)
+    val ts = st.ts
+    for (e <- newish if st.trn(e) >= k; tid <- ts.byEdge(e)) {
+      var a = ts.e1(tid); var b = ts.e2(tid)
+      if (a == e) a = ts.e3(tid) else if (b == e) b = ts.e3(tid)
       if (st.trn(a) >= k && st.trn(b) >= k) {
         found = true
-        if (st.triMts(tid) > bound) bound = st.triMts(tid)
+        if (ts.mts(tid) > bound) bound = ts.mts(tid)
         for (f <- Seq(a, b)) {
           if (!newish.contains(f) && st.kspan(f).length >= k - 2 && st.span(f, k) > bound)
             bound = st.span(f, k)
@@ -144,6 +152,7 @@ object IndexMaintenance {
       entrantsAt: Map[Int, Set[Int]],
       e0: Int,
   ): (Int, Int, Int, Set[Int]) = {
+    val ts = st.ts
     var verifiedKs = 0
     var regionTotal = 0
     var changedTotal = 0
@@ -156,7 +165,7 @@ object IndexMaintenance {
       var dMinus = Int.MaxValue
       val kept = mutable.ArrayBuffer.empty[Int]
       for (tid <- candidateTris) {
-        val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+        val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
         if (st.trn(a) >= k && st.trn(b) >= k && st.trn(c) >= k) {
           val newEntryTri = // triangle entering this k-world just now
             oldMtsOf(tid) == Int.MaxValue &&
@@ -165,7 +174,7 @@ object IndexMaintenance {
           val relevant = newEntryTri || oldMtsOf(tid) != Int.MaxValue
           if (relevant) {
             val dm = math.max(st.span(a, k), math.max(st.span(b, k), st.span(c, k)))
-            val mtsNew = st.triMts(tid)
+            val mtsNew = ts.mts(tid)
             // Lemma 5 skip: an already-valid-below-δm or still-above-δm
             // triangle changes nothing; for triangles with brand-new edges
             // the equality case must be kept (their span entry is only an
@@ -196,6 +205,7 @@ object IndexMaintenance {
   /** GAS (Algorithm 1) + local `decomph` verification for one k level. */
   private def verifyLevel(st: DynamicState, k: Int, seedTris: Array[Int],
                           dMinus: Int, dPlus: Int): (Int, Int) = {
+    val ts = st.ts
     @inline def inKWorld(e: Int): Boolean = st.trn(e) >= k
     @inline def spanK(e: Int): Int = st.span(e, k)
 
@@ -204,16 +214,16 @@ object IndexMaintenance {
     val queue = mutable.ArrayDeque.empty[Int]
     val sTris = mutable.LinkedHashSet.empty[Int] // the local δ-triangle list
     for (tid <- seedTris) {
-      val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
       for (e <- Seq(a, b, c))
         if (spanK(e) >= dMinus && spanK(e) <= dPlus && region.add(e)) queue += e
     }
     while (queue.nonEmpty) {
       val e = queue.removeHead()
-      for (tid <- st.trianglesOf(e)) {
-        val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+      for (tid <- ts.byEdge(e)) {
+        val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
         if (inKWorld(a) && inKWorld(b) && inKWorld(c)) {
-          val rank = math.max(st.triMts(tid),
+          val rank = math.max(ts.mts(tid),
             math.max(spanK(a), math.max(spanK(b), spanK(c))))
           if (rank <= dPlus) {
             sTris += tid
@@ -232,10 +242,10 @@ object IndexMaintenance {
     val sup = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
     val byMtsLocal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
     for (tid <- triIds) {
-      val mts = st.triMts(tid)
+      val mts = ts.mts(tid)
       val isActive = mts <= dPlus
       active(tid) = isActive
-      val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
       for (e <- Seq(a, b, c) if region.contains(e)) {
         byEdgeLocal.getOrElseUpdate(e, mutable.ArrayBuffer.empty) += tid
         if (isActive) sup(e) += 1
@@ -255,7 +265,7 @@ object IndexMaintenance {
 
     def deactivate(tid: Int): Unit = {
       active(tid) = false
-      val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
       for (f <- Seq(a, b, c) if alive.contains(f)) {
         sup(f) -= 1
         if (sup(f) < k - 2) peelQ += f

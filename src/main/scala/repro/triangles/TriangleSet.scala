@@ -2,88 +2,126 @@ package repro.triangles
 
 import repro.tgraph.TemporalGraph
 
-/** One triangle of the static graph, referenced by its three edge ids, with
-  * its precomputed minimum time span. `e1 < e2 < e3` canonically.
+/** One triangle as a value, with `e1 < e2 < e3`: what [[TriangleSet.tris]]
+  * hands to tests, oracles and reports. The algorithms read the store's
+  * flat accessors instead.
   */
-final case class Tri(e1: Int, e2: Int, e3: Int, mts: Int) {
-  def edges: Array[Int] = Array(e1, e2, e3)
-  def contains(e: Int): Boolean = e == e1 || e == e2 || e == e3
-  /** The two edges other than `e` (which must be one of the three). */
-  def others(e: Int): (Int, Int) =
-    if (e == e1) (e2, e3) else if (e == e2) (e1, e3) else (e1, e2)
-}
+final case class Tri(e1: Int, e2: Int, e3: Int, mts: Int)
 
-/** Minimal triangle-incidence interface shared by the immutable
-  * [[TriangleSet]] and the mutable maintenance state, so the truss-insert
-  * maintenance algorithm runs over either.
+/** The δ-triangle list of Definition 9, the one triangle store of both the
+  * static build and §VI maintenance.
+  *
+  * Triangle `tid` is the quadruple `(e1, e2, e3, mts)` at offset `4·tid` of
+  * one flat int array, with edge ids `e1 < e2 < e3`; `byEdge(e)` is the
+  * exact-length row of ids of the triangles through edge `e`. The store
+  * grows: [[addEdge]] appends an edge and the triangles it closes, and
+  * [[setMts]] lowers an mts when a timestamp arrives. Rows are replaced when
+  * they grow, never written in place, so a [[copy]] shares them.
   */
-trait TriangleAccess {
-  /** Ids of triangles containing edge `e`. */
-  def trianglesOf(e: Int): scala.collection.IndexedSeq[Int]
-  /** The two edges of triangle `tid` other than `e`. */
-  def othersOf(tid: Int, e: Int): (Int, Int)
-}
+final class TriangleSet private (private var quads: Array[Int], private var n: Int,
+                                 private var rows: Array[Array[Int]], private var nEdges: Int) {
 
-/** The δ-triangle list of Definition 9, materialized once per graph: every
-  * triangle with its mts, plus the two access paths every algorithm needs —
-  * per-edge incidence lists and per-mts buckets.
-  */
-final class TriangleSet(val tris: Array[Tri], val m: Int) extends TriangleAccess {
+  def m: Int = nEdges
+  def size: Int = n
 
-  override def trianglesOf(e: Int): scala.collection.IndexedSeq[Int] =
-    scala.collection.immutable.ArraySeq.unsafeWrapArray(byEdge(e))
-  override def othersOf(tid: Int, e: Int): (Int, Int) = tris(tid).others(e)
+  def e1(tid: Int): Int = quads(4 * tid)
+  def e2(tid: Int): Int = quads(4 * tid + 1)
+  def e3(tid: Int): Int = quads(4 * tid + 2)
+  def mts(tid: Int): Int = quads(4 * tid + 3)
 
-  /** `byEdge(e)` = ids of triangles containing edge `e`. */
-  val byEdge: Array[Array[Int]] = TriangleSet.incidence(tris, m)
+  /** Ids of the triangles containing edge `e`. */
+  def byEdge(e: Int): Array[Int] = rows(e)
 
   /** Largest minimum time span over all triangles (`δ_max`); 0 if none. */
-  val deltaMax: Int = if (tris.isEmpty) 0 else tris.iterator.map(_.mts).max
+  def deltaMax: Int = {
+    var d = 0
+    var tid = 0
+    while (tid < n) { if (mts(tid) > d) d = mts(tid); tid += 1 }
+    d
+  }
 
-  /** `byMts(δ)` = ids of triangles whose mts is exactly δ (Definition 9). */
-  lazy val byMts: Array[Array[Int]] = {
-    val cnt = new Array[Int](deltaMax + 1)
-    tris.foreach(t => cnt(t.mts) += 1)
-    val out = Array.tabulate(deltaMax + 1)(d => new Array[Int](cnt(d)))
-    val fill = new Array[Int](deltaMax + 1)
-    var i = 0
-    while (i < tris.length) {
-      val d = tris(i).mts
-      out(d)(fill(d)) = i; fill(d) += 1
-      i += 1
+  /** `byMts(δ)` = ids of triangles whose mts is exactly δ, for
+    * `0 ≤ δ ≤ deltaMax` (Definition 9); computed on each call.
+    */
+  def byMts: Array[Array[Int]] = {
+    val dMax = deltaMax
+    val cnt = new Array[Int](dMax + 1)
+    var tid = 0
+    while (tid < n) { cnt(mts(tid)) += 1; tid += 1 }
+    val out = Array.tabulate(dMax + 1)(d => new Array[Int](cnt(d)))
+    val fill = new Array[Int](dMax + 1)
+    tid = 0
+    while (tid < n) {
+      val d = mts(tid)
+      out(d)(fill(d)) = tid; fill(d) += 1
+      tid += 1
     }
     out
   }
 
-  def size: Int = tris.length
+  /** Every triangle as a [[Tri]], in id order (a fresh array per call). */
+  def tris: Array[Tri] = Array.tabulate(n)(tid => Tri(e1(tid), e2(tid), e3(tid), mts(tid)))
+
+  /** An independent store with the same triangles and rows. */
+  def copy: TriangleSet =
+    new TriangleSet(java.util.Arrays.copyOf(quads, 4 * n), n, java.util.Arrays.copyOf(rows, nEdges), nEdges)
+
+  /** Append edge `m` together with the triangles it closes, given as packed
+    * `(e1, e2, m, mts)` quadruples: the new edge's row is installed once and
+    * each companion row grows by one.
+    */
+  private[repro] def addEdge(closed: Array[Int]): Unit = {
+    val e = nEdges
+    val k = closed.length / 4
+    if (4 * (n + k) > quads.length)
+      quads = java.util.Arrays.copyOf(quads, math.max(4 * (n + k), 2 * quads.length))
+    if (e == rows.length) rows = java.util.Arrays.copyOf(rows, math.max(16, 2 * e))
+    System.arraycopy(closed, 0, quads, 4 * n, 4 * k)
+    rows(e) = Array.range(n, n + k)
+    var tid = n
+    while (tid < n + k) {
+      require(e3(tid) == e, s"triangle $tid does not close edge $e")
+      grow(e1(tid), tid); grow(e2(tid), tid)
+      tid += 1
+    }
+    n += k
+    nEdges += 1
+  }
+
+  private def grow(e: Int, tid: Int): Unit = {
+    val row = java.util.Arrays.copyOf(rows(e), rows(e).length + 1)
+    row(row.length - 1) = tid
+    rows(e) = row
+  }
+
+  /** Set the mts of triangle `tid`. */
+  private[repro] def setMts(tid: Int, mts: Int): Unit = quads(4 * tid + 3) = mts
 }
 
 object TriangleSet {
 
+  /** The triangles packed as consecutive `(e1, e2, e3, mts)` quadruples of a
+    * graph with `m` edges; `packed` becomes the store, without a copy.
+    */
+  def fromPacked(packed: Array[Int], m: Int): TriangleSet =
+    new TriangleSet(packed, packed.length / 4, incidence(packed, m), m)
+
   // `byEdge` is built in this method, not in the constructor body: on
   // wikitalk-lite (HotSpot 17, 4 vCPUs) the same loops took 70–85 ms in the
   // constructor, which runs once per graph, and 16–25 ms here.
-  private def incidence(tris: Array[Tri], m: Int): Array[Array[Int]] = {
+  private def incidence(packed: Array[Int], m: Int): Array[Array[Int]] = {
     val cnt = new Array[Int](m)
-    tris.foreach { t => cnt(t.e1) += 1; cnt(t.e2) += 1; cnt(t.e3) += 1 }
-    val out = Array.tabulate(m)(e => new Array[Int](cnt(e)))
+    var j = 0
+    while (j < packed.length) { if (j % 4 != 3) cnt(packed(j)) += 1; j += 1 }
+    val out = Array.tabulate(m)(e => if (cnt(e) == 0) Array.emptyIntArray else new Array[Int](cnt(e)))
     val fill = new Array[Int](m)
-    var i = 0
-    while (i < tris.length) {
-      val t = tris(i)
-      out(t.e1)(fill(t.e1)) = i; fill(t.e1) += 1
-      out(t.e2)(fill(t.e2)) = i; fill(t.e2) += 1
-      out(t.e3)(fill(t.e3)) = i; fill(t.e3) += 1
-      i += 1
+    j = 0
+    while (j < packed.length) {
+      if (j % 4 != 3) { val e = packed(j); out(e)(fill(e)) = j / 4; fill(e) += 1 }
+      j += 1
     }
     out
   }
-
-  /** Triangles packed as consecutive `(e1, e2, e3, mts)` quadruples. */
-  def fromPacked(packed: Array[Int], m: Int): TriangleSet =
-    new TriangleSet(Array.tabulate(packed.length / 4) { i =>
-      Tri(packed(4 * i), packed(4 * i + 1), packed(4 * i + 2), packed(4 * i + 3))
-    }, m)
 }
 
 /** The arrays of a [[TemporalGraph]] that triangle listing reads, in CSR

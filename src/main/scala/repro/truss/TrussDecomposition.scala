@@ -21,11 +21,8 @@ object TrussDecomposition {
   def supports(ts: TriangleSet, valid: Int => Boolean): Array[Int] = {
     val sup = new Array[Int](ts.m)
     var i = 0
-    while (i < ts.tris.length) {
-      if (valid(i)) {
-        val t = ts.tris(i)
-        sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
-      }
+    while (i < ts.size) {
+      if (valid(i)) { sup(ts.e1(i)) += 1; sup(ts.e2(i)) += 1; sup(ts.e3(i)) += 1 }
       i += 1
     }
     sup
@@ -60,7 +57,7 @@ object TrussDecomposition {
     bin(0) = 0
 
     val alive = Array.fill(m)(true)
-    val triAlive = Array.tabulate(ts.tris.length)(valid)
+    val triAlive = Array.tabulate(ts.size)(valid)
 
     var k = 2
     var i = 0
@@ -75,11 +72,9 @@ object TrussDecomposition {
         val tid = incident(ti)
         if (triAlive(tid)) {
           triAlive(tid) = false
-          val t = ts.tris(tid)
-          val (f1, f2) = t.others(cur)
           var fi = 0
-          while (fi < 2) {
-            val f = if (fi == 0) f1 else f2
+          while (fi < 3) { // cur itself is no longer alive
+            val f = if (fi == 0) ts.e1(tid) else if (fi == 1) ts.e2(tid) else ts.e3(tid)
             if (alive(f) && sup(f) > sup(cur)) {
               // move f one bin down (swap with the first edge of its bin)
               val sf = sup(f); val pf = pos(f); val w = bin(sf); val ew = vert(w)
@@ -108,11 +103,9 @@ object TrussDecomposition {
     var changed = true
     while (changed) {
       val sup = new Array[Int](ts.m)
-      for (i <- ts.tris.indices if valid(i)) {
-        val t = ts.tris(i)
-        if (alive(t.e1) && alive(t.e2) && alive(t.e3)) {
-          sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
-        }
+      for (i <- 0 until ts.size if valid(i)) {
+        val a = ts.e1(i); val b = ts.e2(i); val c = ts.e3(i)
+        if (alive(a) && alive(b) && alive(c)) { sup(a) += 1; sup(b) += 1; sup(c) += 1 }
       }
       val next = alive.filter(e => sup(e) >= k - 2)
       changed = next.size != alive.size

@@ -1,6 +1,6 @@
 package repro.truss
 
-import repro.triangles.TriangleAccess
+import repro.triangles.TriangleSet
 
 /** Static-trussness maintenance under **edge insertion** (the building block
   * of §VI-B.2), after Huang et al., SIGMOD'14.
@@ -26,11 +26,12 @@ object TrussInsert {
     * entry. Returns the set of pre-existing edges whose trussness increased
     * (excluding `e0`, whose final trussness is left in `trn(e0)`).
     */
-  def maintain(ts: TriangleAccess, trn: Array[Int], e0: Int): Set[Int] = {
-    val keys = ts.trianglesOf(e0).map { tid =>
-      val (a, b) = ts.othersOf(tid, e0)
-      math.min(trn(a), trn(b))
-    }.toArray.sortBy((x: Int) => -x)
+  def maintain(ts: TriangleSet, trn: Array[Int], e0: Int): Set[Int] = {
+    // the two edges of triangle tid other than e, lower id first
+    @inline def lo(tid: Int, e: Int): Int = if (ts.e1(tid) == e) ts.e2(tid) else ts.e1(tid)
+    @inline def hi(tid: Int, e: Int): Int = if (ts.e3(tid) == e) ts.e2(tid) else ts.e3(tid)
+
+    val keys = ts.byEdge(e0).map(tid => math.min(trn(lo(tid, e0)), trn(hi(tid, e0)))).sortBy(-_)
 
     var k2 = 2
     var i = 0
@@ -53,8 +54,8 @@ object TrussInsert {
       if (isCandidate(e0)) { cand += e0; queue += e0 }
       while (queue.nonEmpty) {
         val f = queue.removeHead()
-        for (tid <- ts.trianglesOf(f)) {
-          val (a, b) = ts.othersOf(tid, f)
+        for (tid <- ts.byEdge(f)) {
+          val a = lo(tid, f); val b = hi(tid, f)
           // triangle can exist in the new k-truss iff both companions are
           // settled (trn ≥ k) or themselves candidates
           val aOk = trn(a) >= k || isCandidate(a)
@@ -75,8 +76,8 @@ object TrussInsert {
           (trn(a) >= k || alive.contains(a)) && (trn(b) >= k || alive.contains(b))
         for (c <- cand) {
           var s = 0
-          for (tid <- ts.trianglesOf(c)) {
-            val (a, b) = ts.othersOf(tid, c)
+          for (tid <- ts.byEdge(c)) {
+            val a = lo(tid, c); val b = hi(tid, c)
             if (counted(a, b)) s += 1
           }
           sup(c) = s
@@ -88,8 +89,8 @@ object TrussInsert {
           val c = drop.removeHead()
           if (alive.contains(c)) {
             alive -= c; dropped += c
-            for (tid <- ts.trianglesOf(c)) {
-              val (a, b) = ts.othersOf(tid, c)
+            for (tid <- ts.byEdge(c)) {
+              val a = lo(tid, c); val b = hi(tid, c)
               // before c dropped, the triangle was counted in sup(a) iff the
               // other companions (c — then alive — and b) were settled-or-
               // alive; so decrement a iff b still is, and symmetrically.

@@ -2,26 +2,8 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Provided SynthData generators plus the temporal-edge extension. */
+/** The temporal-edge generator and the DuckDB oracle it feeds. */
 class SynthDataSpec extends SparkSpec {
-
-  test("lineitem at SF=0.001 has the expected row count and schema") {
-    val df = SynthData.lineitem(spark, sf = 0.001)
-    assert(df.count() == 6000)
-    assert(df.columns.contains("l_orderkey") && df.columns.contains("l_shipdate"))
-  }
-
-  test("zipf keys are skewed: top key dominates uniform share") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val top = z.groupBy("k").count().orderBy(desc("count")).head()
-    assert(top.getLong(1) > 20000 / 1000 * 5)
-  }
-
-  test("uniform keys stay within range") {
-    val u = SynthData.uniformKeys(spark, rows = 5000, nKeys = 100)
-    val mm = u.agg(min("k"), max("k")).head()
-    assert(mm.getLong(0) >= 1 && mm.getLong(1) <= 101)
-  }
 
   test("temporalEdges extension produces a canonical temporal edge stream") {
     val df = SynthData.temporalEdges(spark, "email-lite")

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.core.maintenance.{DynamicState, IndexMaintenance}
 import repro.tgraph.TemporalGraph
-import repro.triangles.DriverTriangles
+import repro.triangles.{DriverTriangles, TriangleSet}
 
 /** Dynamic index maintenance (§VI) must reproduce, edge for edge and k-span
   * for k-span, what an MBA rebuild from scratch computes — after every
@@ -18,7 +18,23 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     DynamicState.fromGraph(g, ts, MBA.build(ts))
   }
 
+  private def tuple(ts: TriangleSet, tid: Int) = (ts.e1(tid), ts.e2(tid), ts.e3(tid), ts.mts(tid))
+
+  /** The maintained store holds exactly the triangles of the current graph,
+    * with their current mts, and the same incidence row for every edge.
+    */
+  private def assertStoreMatchesEnumeration(st: DynamicState, ctx: String): Unit = {
+    val want = DriverTriangles.enumerate(st.snapshotGraph)
+    assert(st.ts.size == want.size && st.ts.m == st.m, s"$ctx: store size diverged")
+    assert((0 until st.ts.size).map(tuple(st.ts, _)).sorted == (0 until want.size).map(tuple(want, _)).sorted,
+      s"$ctx: triangle tuples diverged")
+    for (e <- 0 until st.m)
+      assert(st.ts.byEdge(e).map(tuple(st.ts, _)).sorted.toSeq == want.byEdge(e).map(tuple(want, _)).sorted.toSeq,
+        s"$ctx: triangles incident to edge $e diverged")
+  }
+
   private def assertMatchesRebuild(st: DynamicState, ctx: String): Unit = {
+    assertStoreMatchesEnumeration(st, ctx)
     val rebuilt = MBA.build(st.snapshotTriangles)
     val got = st.snapshotTable
     assert(got.trn.toSeq == rebuilt.trn.toSeq, s"$ctx: trussness diverged")
@@ -31,7 +47,10 @@ class IndexMaintenanceSpec extends AnyFunSuite {
 
   /** Remove `n` random temporal interactions, then replay them through the
     * maintenance path, checking against rebuild after every insertion
-    * (the paper's remove-and-reinsert evaluation protocol, §VII-D).
+    * (the paper's remove-and-reinsert evaluation protocol, §VII-D): the
+    * store and k-span table, the incrementally refreshed TC-Index, and a
+    * DC-Index built from the live table view with its loose `deltaMax`.
+    * The triangle set and table the state was seeded from stay untouched.
     */
   private def replay(seed: Int, g: TemporalGraph, n: Int): Unit = {
     val rnd = new Random(seed)
@@ -43,7 +62,9 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val keptPairs = kept.map(x => (x._1, x._2)).toSet
     val (replayable, dropped) = removed.partition(x => keptPairs.contains((x._1, x._2)))
     val base = TemporalGraph.fromInteractions(kept.toSeq)
-    val st = freshState(base)
+    val baseTs = DriverTriangles.enumerate(base)
+    val baseTable = MBA.build(baseTs)
+    val st = DynamicState.fromGraph(base, baseTs, baseTable)
     var tc = TCIndex.fromTable(st.tableView)
     for ((u, v, t) <- replayable ++ dropped) {
       val report = IndexMaintenance.insert(st, u, v, t)
@@ -52,11 +73,20 @@ class IndexMaintenanceSpec extends AnyFunSuite {
       // TC refresh to coincide with a full index rebuild
       tc = TCIndex.refreshRows(tc, st.tableView, report.changedLevels)
       val full = TCIndex.fromTable(st.tableView)
+      val exact = TCIndex.fromTable(st.snapshotTable)
+      val dc = DCIndex.fromTable(st.tableView)
       for (k <- 3 to full.kMax; d <- Seq(0, full.deltaMax / 3, full.deltaMax)) {
         assert(tc.query(k, d).sorted.toSeq == full.query(k, d).sorted.toSeq,
           s"seed=$seed incremental TC row k=$k d=$d diverged after ($u,$v,$t)")
+        assert(dc.query(k, d).sorted.toSeq == exact.query(k, d).sorted.toSeq,
+          s"seed=$seed DC over the table view k=$k d=$d diverged after ($u,$v,$t)")
       }
     }
+    val again = DriverTriangles.enumerate(base)
+    assert(baseTs.tris.toSeq == again.tris.toSeq && baseTs.m == again.m, s"seed=$seed: seed triangle set was modified")
+    assert((0 until base.m).forall(e => baseTs.byEdge(e).toSeq == again.byEdge(e).toSeq),
+      s"seed=$seed: seed incidence rows were modified")
+    assert(baseTable == MBA.build(again), s"seed=$seed: seed k-span table was modified")
   }
 
   for (seed <- 0 until 10) {
@@ -141,5 +171,36 @@ class IndexMaintenanceSpec extends AnyFunSuite {
       IndexMaintenance.insert(st, u, v, 40 + i)
       assertMatchesRebuild(st, s"densify step $i ($u,$v)")
     }
+  }
+
+  test("bad input is rejected before the state changes") {
+    val g = TemporalGraph((0, 1, Seq(-5)), (1, 2, Seq(6)), (0, 2, Seq(9)), (2, 3, Seq(7)))
+    val st = freshState(g)
+    val before = st.snapshotTable
+    val bad = Seq(
+      (-1, 2, 4),           // negative vertex id
+      (3, -2, 4),
+      (0, 2, Int.MinValue), // existing edge: 9 − Int.MinValue overflows
+      (1, 3, Int.MinValue), // new edge
+      (1, 3, Int.MaxValue - 4), // (Int.MaxValue − 4) − (−5) overflows
+    )
+    for ((u, v, t) <- bad) {
+      intercept[IllegalArgumentException](IndexMaintenance.insert(st, u, v, t))
+      assert(st.snapshotTable == before && st.m == g.m && st.ts.size == 1, s"($u, $v, $t) changed the state")
+      assertMatchesRebuild(st, s"after rejecting ($u, $v, $t)")
+    }
+    // the widest admissible range is [−5, Int.MaxValue − 5]
+    assert(st.admits(Int.MaxValue - 5) && !st.admits(Int.MaxValue - 4))
+    IndexMaintenance.insert(st, 1, 3, 8)
+    IndexMaintenance.insert(st, 0, 2, 1)
+    assertMatchesRebuild(st, "valid inserts after the rejections")
+    assert(st.ts.size == 2)
+
+    // an empty state takes any first timestamp, then bounds the range by it
+    val empty = freshState(TemporalGraph())
+    IndexMaintenance.insert(empty, 0, 1, Int.MinValue)
+    intercept[IllegalArgumentException](IndexMaintenance.insert(empty, 1, 2, 0))
+    IndexMaintenance.insert(empty, 1, 2, -1)
+    assertMatchesRebuild(empty, "inserts into an empty graph")
   }
 }

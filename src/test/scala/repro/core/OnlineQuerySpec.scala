@@ -71,7 +71,7 @@ class OnlineQuerySpec extends AnyFunSuite {
     val ts = TestGraphs.tris(g)
     val e01 = g.edgeId(0, 1)
     def dsup(delta: Int): Int =
-      ts.byEdge(e01).count(tid => ts.tris(tid).mts <= delta)
+      ts.byEdge(e01).count(tid => ts.mts(tid) <= delta)
     assert(dsup(0) == 0)
     assert(dsup(1) == 1)
     assert(dsup(9) == 2)

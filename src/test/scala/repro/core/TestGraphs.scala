@@ -33,7 +33,7 @@ object TestGraphs {
 
   /** Brute-force edge set of T_{k,δ}: fixpoint peeling over δ-triangles. */
   def bruteTruss(ts: TriangleSet, k: Int, delta: Int): Set[Int] =
-    repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.tris(i).mts <= delta)
+    repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.mts(i) <= delta)
 
   /** All (k, δ) pairs worth checking exhaustively on a small graph. */
   def allParams(ts: TriangleSet, kMax: Int): Seq[(Int, Int)] =

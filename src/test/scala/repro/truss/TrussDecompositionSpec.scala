@@ -61,7 +61,7 @@ class TrussDecompositionSpec extends AnyFunSuite {
       val g = TestGraphs.random(seed)
       val ts = TestGraphs.tris(g)
       val delta = ts.deltaMax / 2
-      val trnD = TrussDecomposition.trussness(ts, i => ts.tris(i).mts <= delta)
+      val trnD = TrussDecomposition.trussness(ts, i => ts.mts(i) <= delta)
       val kMax = if (trnD.isEmpty) 2 else trnD.max
       for (k <- 3 to kMax + 1) {
         val expected = TestGraphs.bruteTruss(ts, k, delta)
