@@ -3,45 +3,60 @@ package repro.core.maintenance
 import scala.collection.mutable
 import repro.core.KSpanTable
 import repro.tgraph.{TEdge, TemporalGraph}
+import repro.tgraph.TemporalGraph.{eidOf, nbrOf}
 import repro.triangles.{Mts, TriangleSet}
 
 /** Mutable companion of a temporal graph plus its complete (k,δ)-truss
   * answer state — everything §VI's filter-and-verification algorithm reads
-  * and writes: the timestamped edges and their time range, the δ-triangle
-  * store `ts`, the static trussness and the k-span table.
+  * and writes: the timestamped edges and their time range, the adjacency,
+  * the δ-triangle store `ts`, the static trussness and the k-span table.
   *
-  * `ts` is the state's own copy of the [[TriangleSet]] it was seeded with,
-  * and its only triangle store: [[addEdge]] appends the triangles a new
-  * edge closes, [[addTimestamp]] lowers their mts in place. The seeding
-  * set and table are never modified.
+  * The state is kept in the formats of the static build:
+  *  - `edges` are the graph's [[TEdge]]s, edge id = index;
+  *  - the adjacency is [[TemporalGraph.adj]]'s packed, neighbor-sorted
+  *    `(nbr << 32) | eid` rows, looked up and grown through the
+  *    [[TemporalGraph]] companion;
+  *  - `ts` is the state's own copy of the [[TriangleSet]] it was seeded
+  *    with: [[addEdge]] appends the triangles a new edge closes,
+  *    [[addTimestamp]] lowers their mts in place;
+  *  - `trn(e)` and the k-span row `kspan(e)` are primitive arrays grown by
+  *    doubling; only ids `< m` are live.
+  *
+  * Adjacency rows, timestamp arrays and triangle rows are replaced when they
+  * grow, never written in place, so the seeding graph, triangle set and
+  * table are never modified. Span rows are the state's own clones and are
+  * written in place.
   *
   * Growth-only by design (the paper assumes history is immutable: edges and
   * timestamps are only inserted).
   */
 final class DynamicState private (
-    val eU: mutable.ArrayBuffer[Int],
-    val eV: mutable.ArrayBuffer[Int],
-    val eTs: mutable.ArrayBuffer[Array[Int]],
-    val adjOf: mutable.ArrayBuffer[mutable.HashMap[Int, Int]], // vertex -> (nbr -> eid)
+    private var adj: Array[Array[Long]],
+    val edges: mutable.ArrayBuffer[TEdge],
     val ts: TriangleSet,
-    val trn: mutable.ArrayBuffer[Int],
-    val kspan: mutable.ArrayBuffer[Array[Int]],
+    private var trnBuf: Array[Int],
+    private var spanBuf: Array[Array[Int]],
     private var tLo: Int,
     private var tHi: Int,
 ) {
 
-  def m: Int = eU.length
+  def m: Int = edges.length
 
-  def edgeId(u: Int, v: Int): Int = {
-    val (a, b) = if (u < v) (u, v) else (v, u)
-    if (a >= adjOf.length) -1 else adjOf(a).getOrElse(b, -1)
-  }
+  /** Static trussness by edge id; its length may exceed [[m]]. */
+  def trn: Array[Int] = trnBuf
 
-  def span(e: Int, k: Int): Int = kspan(e)(k - 3)
-  def setSpan(e: Int, k: Int, d: Int): Unit = kspan(e)(k - 3) = d
+  /** k-span rows by edge id, `kspan(e)(k − 3)` for `3 ≤ k ≤ trn(e)`; its
+    * length may exceed [[m]].
+    */
+  def kspan: Array[Array[Int]] = spanBuf
 
-  def ensureVertex(v: Int): Unit =
-    while (adjOf.length <= v) adjOf += mutable.HashMap.empty[Int, Int]
+  /** The packed adjacency row of vertex `v` (empty for an unseen vertex). */
+  def adjRow(v: Int): Array[Long] = if (v < adj.length) adj(v) else Array.emptyLongArray
+
+  def edgeId(u: Int, v: Int): Int = TemporalGraph.edgeId(adj, u, v)
+
+  def span(e: Int, k: Int): Int = spanBuf(e)(k - 3)
+  def setSpan(e: Int, k: Int, d: Int): Unit = spanBuf(e)(k - 3) = d
 
   /** Whether timestamp `t` keeps the state's time range `[tMin, tMax]`
     * within `Int.MaxValue`, the rule of the [[TemporalGraph]] constructor
@@ -55,28 +70,41 @@ final class DynamicState private (
   }
 
   /** Append a brand-new static edge (canonical `u < v`) with one timestamp;
-    * registers its triangles (common-neighbor scan) and returns
+    * registers its triangles (sorted merge of the endpoint rows) and returns
     * `(edgeId, newTriangleIds)`. Trussness/k-span state is extended with
     * placeholders (`trn = 2`, empty k-span row) — the caller maintains them.
     */
   def addEdge(u: Int, v: Int, t: Int): (Int, Seq[Int]) = {
-    require(u < v && edgeId(u, v) < 0)
-    ensureVertex(v)
+    require(u >= 0 && u < v && edgeId(u, v) < 0)
     widen(t)
     val eid = m
-    eU += u; eV += v; eTs += Array(t)
-    adjOf(u)(v) = eid; adjOf(v)(u) = eid
-    trn += 2
-    kspan += Array.emptyIntArray
+    edges += TEdge(u, v, Array(t))
+    if (eid == trnBuf.length) {
+      trnBuf = java.util.Arrays.copyOf(trnBuf, math.max(16, 2 * eid))
+      spanBuf = java.util.Arrays.copyOf(spanBuf, trnBuf.length)
+    }
+    trnBuf(eid) = 2
+    spanBuf(eid) = Array.emptyIntArray
     // every triangle through eid is (e1, e2, eid): eid is the largest id
     val closed = new mutable.ArrayBuilder.ofInt
-    val (small, large) = if (adjOf(u).size <= adjOf(v).size) (u, v) else (v, u)
-    for ((w, eSmall) <- adjOf(small) if w != u && w != v; eLarge <- adjOf(large).get(w)) {
-      val a = math.min(eSmall, eLarge); val b = math.max(eSmall, eLarge)
-      val mtsNew = Mts.of(eTs(a), eTs(b), eTs(eid))
-      bumpDeltaUB(mtsNew)
-      closed += a += b += eid += mtsNew
+    val ru = adjRow(u); val rv = adjRow(v)
+    var i = 0; var j = 0
+    while (i < ru.length && j < rv.length) {
+      val d = nbrOf(ru(i)) - nbrOf(rv(j))
+      if (d < 0) i += 1
+      else if (d > 0) j += 1
+      else { // common neighbor
+        val eu = eidOf(ru(i)); val ev = eidOf(rv(j))
+        val a = math.min(eu, ev); val b = math.max(eu, ev)
+        val mtsNew = Mts.of(edges(a).ts, edges(b).ts, edges(eid).ts)
+        if (mtsNew > deltaMaxUB) deltaMaxUB = mtsNew
+        closed += a += b += eid += mtsNew
+        i += 1; j += 1
+      }
     }
+    if (v >= adj.length) adj = Array.tabulate(math.max(v + 1, 2 * adj.length))(adjRow)
+    adj(u) = TemporalGraph.withNeighbor(adj(u), v, eid)
+    adj(v) = TemporalGraph.withNeighbor(adj(v), u, eid)
     val first = ts.size
     ts.addEdge(closed.result())
     (eid, first until ts.size)
@@ -87,20 +115,19 @@ final class DynamicState private (
     * triangles whose mts changed as `(tid, oldMts, newMts)`.
     */
   def addTimestamp(e: Int, t: Int): Seq[(Int, Int, Int)] = {
-    val ts0 = eTs(e)
+    val ts0 = edges(e).ts
     val pos = java.util.Arrays.binarySearch(ts0, t)
     if (pos >= 0) return Seq.empty
     widen(t)
     val ins = -pos - 1
-    val nts = new Array[Int](ts0.length + 1)
-    System.arraycopy(ts0, 0, nts, 0, ins)
-    nts(ins) = t
+    val nts = java.util.Arrays.copyOf(ts0, ts0.length + 1)
     System.arraycopy(ts0, ins, nts, ins + 1, ts0.length - ins)
-    eTs(e) = nts
+    nts(ins) = t
+    edges(e) = edges(e).copy(ts = nts)
     val changed = mutable.ArrayBuffer.empty[(Int, Int, Int)]
     for (tid <- ts.byEdge(e)) {
       val old = ts.mts(tid)
-      val nu = Mts.of(eTs(ts.e1(tid)), eTs(ts.e2(tid)), eTs(ts.e3(tid)))
+      val nu = Mts.of(edges(ts.e1(tid)).ts, edges(ts.e2(tid)).ts, edges(ts.e3(tid)).ts)
       if (nu != old) {
         assert(nu < old, s"mts may only shrink on timestamp insertion ($old -> $nu)")
         ts.setMts(tid, nu)
@@ -114,56 +141,49 @@ final class DynamicState private (
     * increase; new top slots are initialized to `init`.
     */
   def growSpanRow(e: Int, init: Int): Unit = {
-    val want = math.max(0, trn(e) - 2)
-    val cur = kspan(e)
+    val want = math.max(0, trnBuf(e) - 2)
+    val cur = spanBuf(e)
     if (cur.length < want) {
       val nu = java.util.Arrays.copyOf(cur, want)
       java.util.Arrays.fill(nu, cur.length, want, init)
-      kspan(e) = nu
+      spanBuf(e) = nu
     }
   }
 
   // --- snapshots for verification against rebuild ------------------------
 
-  def snapshotGraph: TemporalGraph =
-    new TemporalGraph(Array.tabulate(m)(e => TEdge(eU(e), eV(e), eTs(e))))
+  def snapshotGraph: TemporalGraph = new TemporalGraph(edges.toArray)
 
   def snapshotTriangles: TriangleSet = ts.copy
 
   def snapshotTable: KSpanTable =
-    new KSpanTable(trn.toArray, kspan.map(_.clone()).toArray, ts.deltaMax)
+    new KSpanTable(java.util.Arrays.copyOf(trnBuf, m), Array.tabulate(m)(spanBuf(_).clone()), ts.deltaMax)
 
   /** Monotone upper bound on deltaMax (mts only shrinks; new triangles may
     * raise it) — lets [[tableView]] avoid the O(|Δ|) max scan per call.
     */
   private var deltaMaxUB: Int = ts.deltaMax
 
-  private def bumpDeltaUB(mts: Int): Unit =
-    if (mts > deltaMaxUB) deltaMaxUB = mts
-
-  /** O(m) zero-copy view of the current k-span state (span rows shared, not
-    * cloned) for incremental index refreshes; `deltaMax` is the monotone
-    * upper bound, which only loosens directory sizing, never correctness.
+  /** The current k-span state for incremental index refreshes: O(m) copies
+    * of the trussness array and of the array of span rows. The rows
+    * themselves are shared, so a later insertion that rewrites a span in
+    * place shows through an earlier view. `deltaMax` is the monotone upper
+    * bound, which only loosens directory sizing, never correctness.
     */
   def tableView: KSpanTable =
-    new KSpanTable(trn.toArray, kspan.toArray, deltaMaxUB)
+    new KSpanTable(java.util.Arrays.copyOf(trnBuf, m), java.util.Arrays.copyOf(spanBuf, m), deltaMaxUB)
 }
 
 object DynamicState {
 
   /** Seed the state from an already-indexed graph. */
-  def fromGraph(g: TemporalGraph, ts: TriangleSet, table: KSpanTable): DynamicState = {
-    val adj = mutable.ArrayBuffer.fill(math.max(1, g.nVertexIds))(mutable.HashMap.empty[Int, Int])
-    for (e <- 0 until g.m) { adj(g.edges(e).u)(g.edges(e).v) = e; adj(g.edges(e).v)(g.edges(e).u) = e }
+  def fromGraph(g: TemporalGraph, ts: TriangleSet, table: KSpanTable): DynamicState =
     new DynamicState(
-      mutable.ArrayBuffer.from(g.edges.map(_.u)),
-      mutable.ArrayBuffer.from(g.edges.map(_.v)),
-      mutable.ArrayBuffer.from(g.edges.map(_.ts.clone())),
-      adj,
+      g.adj.clone(),
+      mutable.ArrayBuffer.from(g.edges),
       ts.copy,
-      mutable.ArrayBuffer.from(table.trn),
-      mutable.ArrayBuffer.from(table.spans.map(_.clone())),
+      table.trn.clone(),
+      table.spans.map(_.clone()),
       g.tMin, g.tMax,
     )
-  }
 }

@@ -55,7 +55,6 @@ object IndexMaintenance {
     require(uRaw >= 0 && vRaw >= 0, s"vertex ids must be non-negative, got ($uRaw, $vRaw)")
     require(st.admits(t), s"timestamp $t widens the time range past Int.MaxValue; time spans would overflow")
     val (u, v) = if (uRaw < vRaw) (uRaw, vRaw) else (vRaw, uRaw)
-    st.ensureVertex(v)
     val existing = st.edgeId(u, v)
     if (existing >= 0) {
       val changed = st.addTimestamp(existing, t)
@@ -69,10 +68,7 @@ object IndexMaintenance {
       val (e0, newTris) = st.addEdge(u, v, t)
 
       // --- static trussness maintenance (filter of k) --------------------
-      val trnArr = st.trn.toArray
-      val upgraded = TrussInsert.maintain(st.ts, trnArr, e0)
-      var i = 0
-      while (i < trnArr.length) { st.trn(i) = trnArr(i); i += 1 }
+      val upgraded = TrussInsert.maintain(st.ts, st.trn, e0)
       val kHigh = st.trn(e0)
 
       // entrantsAt(k) = edges whose trussness rose from k−1 to k
@@ -84,16 +80,12 @@ object IndexMaintenance {
       // max of (t1) the mts of every k-world triangle touching it and (t2)
       // the current k-span of every settled companion in those triangles.
       // The fixpoint argument of Lemma 7 applies verbatim to the union.
-      if (kHigh >= 3) st.kspan(e0) = new Array[Int](kHigh - 2)
-      var kEst = 3
-      while (kEst <= kHigh) {
+      for (kEst <- 3 to kHigh) {
         val newish = entrantsAt.getOrElse(kEst, Set.empty) + e0
         val bound = jointUpperBound(st, kEst, newish)
-        for (e <- newish if e != e0; if st.trn(e) == kEst) {
+        for (e <- newish) {
           st.growSpanRow(e, bound); st.setSpan(e, kEst, bound)
         }
-        st.setSpan(e0, kEst, bound)
-        kEst += 1
       }
 
       // candidate triangles: the new ones through e0 (entering every
@@ -142,7 +134,7 @@ object IndexMaintenance {
 
   /** Steps 2–4 for every affected k. `candidateTris` either changed mts
     * (`oldMtsOf`) or entered the k-world (`oldMts = ∞`). Returns
-    * `(verifiedKs, regionEdgesTotal, changedSpans)`.
+    * `(verifiedKs, regionEdgesTotal, changedSpans, changedLevels)`.
     */
   private def maintainSpans(
       st: DynamicState,
@@ -240,18 +232,14 @@ object IndexMaintenance {
     val active = mutable.HashMap.empty[Int, Boolean]
     val byEdgeLocal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
     val sup = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
-    val byMtsLocal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
     for (tid <- triIds) {
-      val mts = ts.mts(tid)
-      val isActive = mts <= dPlus
+      val isActive = ts.mts(tid) <= dPlus
       active(tid) = isActive
       val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
       for (e <- Seq(a, b, c) if region.contains(e)) {
         byEdgeLocal.getOrElseUpdate(e, mutable.ArrayBuffer.empty) += tid
         if (isActive) sup(e) += 1
       }
-      if (isActive && mts > dMinus)
-        byMtsLocal.getOrElseUpdate(mts, mutable.ArrayBuffer.empty) += tid
     }
     // every region edge is a member of the new T_{k,δ+}, so its support
     // there must already meet the threshold — a violation means the filters
@@ -272,11 +260,15 @@ object IndexMaintenance {
       }
     }
 
-    var step = dPlus
-    while (step > dMinus) {
-      for (tid <- byMtsLocal.getOrElse(step, mutable.ArrayBuffer.empty) if active(tid))
-        deactivate(tid)
-      while (peelQ.nonEmpty) {
+    // sweep δ from δ+ down: the triangles of each distinct mts in (δ−, δ+]
+    // turn invalid as one group, and the edges peeled after the group get
+    // that mts as new k-span
+    val sweep = triIds.filter(tid => ts.mts(tid) > dMinus && ts.mts(tid) <= dPlus).sortBy(tid => -ts.mts(tid))
+    for (i <- sweep.indices) {
+      val step = ts.mts(sweep(i))
+      if (active(sweep(i))) deactivate(sweep(i))
+      val groupDone = i + 1 == sweep.length || ts.mts(sweep(i + 1)) != step
+      while (groupDone && peelQ.nonEmpty) {
         val e = peelQ.removeHead()
         if (alive.contains(e) && sup(e) < k - 2) {
           alive -= e
@@ -285,7 +277,6 @@ object IndexMaintenance {
             deactivate(tid)
         }
       }
-      step -= 1
     }
     for (e <- alive) newSpan(e) = dMinus
 

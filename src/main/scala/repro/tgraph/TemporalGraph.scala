@@ -59,24 +59,10 @@ final class TemporalGraph(val edges: Array[TEdge]) {
     out
   }
 
-  @inline def nbrOf(packed: Long): Int = (packed >>> 32).toInt
-  @inline def eidOf(packed: Long): Int = (packed & 0xffffffffL).toInt
-
   def degree(v: Int): Int = if (v < nVertexIds) adj(v).length else 0
 
-  /** Edge id of the pair `{u, v}` in either orientation, or -1 if absent:
-    * a binary search of `v`'s first entry in the row of the lower endpoint.
-    */
-  def edgeId(u: Int, v: Int): Int = {
-    val a = math.min(u, v); val b = math.max(u, v)
-    if (a < 0 || b >= nVertexIds) -1
-    else {
-      val row = adj(a)
-      val i = java.util.Arrays.binarySearch(row, b.toLong << 32)
-      val p = if (i >= 0) i else -i - 1
-      if (p < row.length && nbrOf(row(p)) == b) eidOf(row(p)) else -1
-    }
-  }
+  /** Edge id of the pair `{u, v}` in either orientation, or -1 if absent. */
+  def edgeId(u: Int, v: Int): Int = TemporalGraph.edgeId(adj, u, v)
 
   /** Smallest timestamp in the graph (0 for an empty graph). */
   lazy val tMin: Int = if (edges.isEmpty) 0 else edges.iterator.map(_.ts.head).min
@@ -97,6 +83,37 @@ final class TemporalGraph(val edges: Array[TEdge]) {
 }
 
 object TemporalGraph {
+
+  @inline def nbrOf(packed: Long): Int = (packed >>> 32).toInt
+  @inline def eidOf(packed: Long): Int = (packed & 0xffffffffL).toInt
+
+  /** Edge id of `{u, v}` in packed adjacency rows laid out like
+    * [[TemporalGraph.adj]], or -1 if absent or if either id is out of range:
+    * a binary search of `v`'s first entry in the row of the lower endpoint.
+    */
+  def edgeId(adj: Array[Array[Long]], u: Int, v: Int): Int = {
+    val a = math.min(u, v); val b = math.max(u, v)
+    if (a < 0 || b >= adj.length) -1
+    else {
+      val row = adj(a)
+      val i = java.util.Arrays.binarySearch(row, b.toLong << 32)
+      val p = if (i >= 0) i else -i - 1
+      if (p < row.length && nbrOf(row(p)) == b) eidOf(row(p)) else -1
+    }
+  }
+
+  /** A new row: `row` with the entry of neighbor `nbr` over edge `eid`,
+    * which it must not hold yet, inserted at its sorted position. `row`
+    * itself is not written.
+    */
+  def withNeighbor(row: Array[Long], nbr: Int, eid: Int): Array[Long] = {
+    val entry = (nbr.toLong << 32) | eid.toLong
+    val p = -java.util.Arrays.binarySearch(row, entry) - 1
+    val out = java.util.Arrays.copyOf(row, row.length + 1)
+    System.arraycopy(row, p, out, p + 1, row.length - p)
+    out(p) = entry
+    out
+  }
 
   /** Build from raw interaction triples `(u, v, t)`: canonicalizes pairs,
     * drops self loops, dedupes and sorts timestamps per static edge. Edge

@@ -33,14 +33,28 @@ class IndexMaintenanceSpec extends AnyFunSuite {
         s"$ctx: triangles incident to edge $e diverged")
   }
 
+  /** The maintained adjacency has the rows of the current graph, and its
+    * lookup finds every edge under the graph's id.
+    */
+  private def assertAdjacencyMatchesGraph(st: DynamicState, ctx: String): Unit = {
+    val g = st.snapshotGraph
+    for (x <- 0 until g.nVertexIds)
+      assert(st.adjRow(x).toSeq == g.adj(x).toSeq, s"$ctx: adjacency row of vertex $x diverged")
+    for (e <- 0 until st.m) {
+      val (u, v) = (st.edges(e).u, st.edges(e).v)
+      assert(st.edgeId(u, v) == g.edgeId(u, v) && st.edgeId(v, u) == e, s"$ctx: edgeId of ($u,$v) diverged")
+    }
+  }
+
   private def assertMatchesRebuild(st: DynamicState, ctx: String): Unit = {
     assertStoreMatchesEnumeration(st, ctx)
+    assertAdjacencyMatchesGraph(st, ctx)
     val rebuilt = MBA.build(st.snapshotTriangles)
     val got = st.snapshotTable
     assert(got.trn.toSeq == rebuilt.trn.toSeq, s"$ctx: trussness diverged")
     for (e <- 0 until got.m) {
       assert(got.spans(e).toSeq == rebuilt.spans(e).toSeq,
-        s"$ctx: k-span row of edge $e (${st.eU(e)},${st.eV(e)}) " +
+        s"$ctx: k-span row of edge $e (${st.edges(e).u},${st.edges(e).v}) " +
           s"got=${got.spans(e).toSeq} want=${rebuilt.spans(e).toSeq}")
     }
   }
@@ -50,7 +64,8 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     * (the paper's remove-and-reinsert evaluation protocol, §VII-D): the
     * store and k-span table, the incrementally refreshed TC-Index, and a
     * DC-Index built from the live table view with its loose `deltaMax`.
-    * The triangle set and table the state was seeded from stay untouched.
+    * The graph, triangle set and table the state was seeded from stay
+    * untouched.
     */
   private def replay(seed: Int, g: TemporalGraph, n: Int): Unit = {
     val rnd = new Random(seed)
@@ -82,6 +97,9 @@ class IndexMaintenanceSpec extends AnyFunSuite {
           s"seed=$seed DC over the table view k=$k d=$d diverged after ($u,$v,$t)")
       }
     }
+    val fresh = new TemporalGraph(base.edges)
+    assert(base.adj.length == fresh.adj.length && base.adj.indices.forall(x => base.adj(x).toSeq == fresh.adj(x).toSeq),
+      s"seed=$seed: seed adjacency rows were modified")
     val again = DriverTriangles.enumerate(base)
     assert(baseTs.tris.toSeq == again.tris.toSeq && baseTs.m == again.m, s"seed=$seed: seed triangle set was modified")
     assert((0 until base.m).forall(e => baseTs.byEdge(e).toSeq == again.byEdge(e).toSeq),
@@ -177,6 +195,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val g = TemporalGraph((0, 1, Seq(-5)), (1, 2, Seq(6)), (0, 2, Seq(9)), (2, 3, Seq(7)))
     val st = freshState(g)
     val before = st.snapshotTable
+    assert(st.edgeId(-1, 2) == -1 && st.edgeId(2, -1) == -1 && st.edgeId(3, 99) == -1)
     val bad = Seq(
       (-1, 2, 4),           // negative vertex id
       (3, -2, 4),

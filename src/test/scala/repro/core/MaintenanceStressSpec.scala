@@ -23,7 +23,7 @@ class MaintenanceStressSpec extends AnyFunSuite {
         if (pick == 0) {
           // fresh timestamp on a random existing edge
           val e = rnd.nextInt(st.m)
-          IndexMaintenance.insert(st, st.eU(e), st.eV(e), rnd.nextInt(60))
+          IndexMaintenance.insert(st, st.edges(e).u, st.edges(e).v, rnd.nextInt(60))
         } else if (pick == 1) {
           // new edge between random vertices (may collide -> timestamp case)
           val u = rnd.nextInt(20); var v = rnd.nextInt(20)
@@ -52,7 +52,7 @@ class MaintenanceStressSpec extends AnyFunSuite {
     var inserts = 0
     for (_ <- 0 until 30) {
       val e = rnd.nextInt(st.m)
-      val r = IndexMaintenance.insert(st, st.eU(e), st.eV(e), rnd.nextInt(100))
+      val r = IndexMaintenance.insert(st, st.edges(e).u, st.edges(e).v, rnd.nextInt(100))
       totalRegion += r.regionEdgesTotal
       inserts += 1
     }
@@ -70,7 +70,7 @@ class MaintenanceStressSpec extends AnyFunSuite {
     var prev = st.snapshotTable
     for (i <- 0 until 15) {
       val e = rnd.nextInt(st.m)
-      IndexMaintenance.insert(st, st.eU(e), st.eV(e), rnd.nextInt(40))
+      IndexMaintenance.insert(st, st.edges(e).u, st.edges(e).v, rnd.nextInt(40))
       val cur = st.snapshotTable
       for (ed <- 0 until prev.m; k <- 3 to prev.trn(ed)) {
         assert(cur.span(ed, k) <= prev.span(ed, k), s"step $i edge $ed k=$k grew")

@@ -50,9 +50,9 @@ class TemporalGraphSpec extends AnyFunSuite {
 
   test("adjacency is sorted by neighbor and covers both directions") {
     val g = TemporalGraph((0, 3, Seq(1)), (0, 1, Seq(1)), (1, 3, Seq(1)))
-    val n0 = g.adj(0).map(g.nbrOf).toSeq
+    val n0 = g.adj(0).map(TemporalGraph.nbrOf).toSeq
     assert(n0 == n0.sorted && n0 == Seq(1, 3))
-    assert(g.adj(3).map(g.nbrOf).toSeq == Seq(0, 1))
+    assert(g.adj(3).map(TemporalGraph.nbrOf).toSeq == Seq(0, 1))
     assert(g.degree(0) == 2 && g.degree(2) == 0)
   }
 
