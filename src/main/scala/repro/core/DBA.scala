@@ -20,13 +20,12 @@ object DBA {
   def build(ts: TriangleSet): KSpanTable = {
     val m = ts.m
     val trn = TrussDecomposition.trussness(ts)
-    val kMax = if (m == 0) 2 else math.max(2, trn.max)
-    val spans = Array.tabulate(m)(e => Array.fill(math.max(0, trn(e) - 2))(-1))
     val dMax = ts.deltaMax
+    val table = KSpanTable.allocate(trn, dMax)
 
     val byMts = ts.byMts
     var k = 3
-    while (k <= kMax) {
+    while (k <= table.kMax) {
       // T_{k,δmax} = static k-truss; triangles alive iff fully inside it
       val alive = Array.tabulate(m)(e => trn(e) >= k)
       val triAlive = new Array[Boolean](ts.size)
@@ -61,7 +60,7 @@ object DBA {
           val e = queue.removeHead()
           if (alive(e) && sup(e) < k - 2) {
             alive(e) = false
-            spans(e)(k - 3) = delta // H-IES between T_{k,δ} and T_{k,δ−1}
+            table.setSpan(e, k, delta) // H-IES between T_{k,δ} and T_{k,δ−1}
             val incident = ts.byEdge(e)
             var ti = 0
             while (ti < incident.length) {
@@ -73,9 +72,9 @@ object DBA {
         delta -= 1
       }
       var e = 0
-      while (e < m) { if (alive(e)) spans(e)(k - 3) = 0; e += 1 }
+      while (e < m) { if (alive(e)) table.setSpan(e, k, 0); e += 1 }
       k += 1
     }
-    new KSpanTable(trn, spans, dMax)
+    table
   }
 }

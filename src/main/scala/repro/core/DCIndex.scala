@@ -105,49 +105,36 @@ object DCIndex {
       }
       e += 1
     }
-    // sizeT(k,δ) = |T_{k,δ}| = prefix sums of cntAll over δ
-    val sizeT = Array.ofDim[Long](nK, nD)
-    var ki = 0
-    while (ki < nK) {
-      var acc = 0L
-      var d = 0
-      while (d < nD) { acc += cntAll(ki)(d); sizeT(ki)(d) = acc; d += 1 }
-      ki += 1
-    }
 
-    // --- arborescence: pick the lighter outgoing edge ---------------------
-    // parentDir: 0 = vertical (k+1, δ), 1 = horizontal (k, δ−1), -1 = root
+    // --- arborescence and reduction in one pass --------------------------
+    // k descending, δ ascending, so both possible parents, (k+1, δ) and
+    // (k, δ−1), are resolved first. parentDir: 0 = vertical, 1 = horizontal,
+    // -1 = root; the lighter outgoing edge is kept (ties keep horizontal).
+    // rep(node) = self if kept, else rep(parent): a node whose kept edge
+    // has weight 0 is merged into its parent. The vertical weight
+    // |T_{k,δ}| − |T_{k+1,δ}| comes from running prefix sums over δ of the
+    // horizontal weights of rows k and k+1.
     val parentDir = new Array[Byte](nK * nD)
-    val keptWeight = new Array[Long](nK * nD)
-    var k = 3
-    while (k <= kMax) {
+    val rep = new Array[Int](nK * nD)
+    var k = kMax
+    while (k >= 3) {
+      val hasV = k < kMax
+      var sizeK = 0L  // |T_{k,δ}|
+      var sizeUp = 0L // |T_{k+1,δ}|
       var d = 0
       while (d <= dMax) {
-        val hasV = k < kMax
+        sizeK += cntAll(k - 3)(d)
+        if (hasV) sizeUp += cntAll(k - 2)(d)
         val hasH = d >= 1
-        val wV = if (hasV) sizeT(k - 3)(d) - sizeT(k - 2)(d) else Long.MaxValue
+        val wV = if (hasV) sizeK - sizeUp else Long.MaxValue
         val wH = if (hasH) cntAll(k - 3)(d).toLong else Long.MaxValue
         val id = gid(k, d)
-        if (!hasV && !hasH) { parentDir(id) = -1; keptWeight(id) = 0L }
-        else if (wV < wH) { parentDir(id) = 0; keptWeight(id) = wV }
-        else { parentDir(id) = 1; keptWeight(id) = wH }
-        d += 1
-      }
-      k += 1
-    }
-
-    // --- reduction: rep(node) = self if kept, else rep(parent) ------------
-    // process k descending then δ ascending so parents are resolved first
-    val rep = new Array[Int](nK * nD)
-    k = kMax
-    while (k >= 3) {
-      var d = 0
-      while (d <= dMax) {
-        val id = gid(k, d)
-        if (parentDir(id) == -1) rep(id) = id // root is always kept
+        if (!hasV && !hasH) { parentDir(id) = -1; rep(id) = id } // root is always kept
         else {
-          val pid = if (parentDir(id) == 0) gid(k + 1, d) else gid(k, d - 1)
-          rep(id) = if (keptWeight(id) == 0L) rep(pid) else id
+          val vertical = wV < wH
+          parentDir(id) = if (vertical) 0 else 1
+          val pid = if (vertical) gid(k + 1, d) else gid(k, d - 1)
+          rep(id) = if (math.min(wV, wH) == 0L) rep(pid) else id
         }
         d += 1
       }

@@ -30,7 +30,7 @@ object MBA {
     val m = ts.m
     val trn0 = TrussDecomposition.trussness(ts)
     val dMax = ts.deltaMax
-    val spans = Array.tabulate(m)(e => Array.fill(math.max(0, trn0(e) - 2))(-1))
+    val table = KSpanTable.allocate(trn0, dMax)
 
     val trn = trn0.clone()
     val nTri = ts.size
@@ -74,7 +74,7 @@ object MBA {
         if (trn(e) > 2 && ks(e) < trn(e) - 2) {
           val oldK = trn(e)
           trn(e) = oldK - 1
-          spans(e)(oldK - 3) = delta // k-span for k = oldK (Lemma 4)
+          table.setSpan(e, oldK, delta) // k-span for k = oldK (Lemma 4)
           val incident = ts.byEdge(e)
           var cnt = 0 // ks(e) recount at the new level, fused into the scan
           var ti = 0
@@ -113,9 +113,9 @@ object MBA {
     var e = 0
     while (e < m) {
       var k = 3
-      while (k <= trn(e)) { spans(e)(k - 3) = 0; k += 1 }
+      while (k <= trn(e)) { table.setSpan(e, k, 0); k += 1 }
       e += 1
     }
-    new KSpanTable(trn0, spans, dMax)
+    table
   }
 }

@@ -9,7 +9,7 @@ import repro.triangles.{Mts, TriangleSet}
 /** Mutable companion of a temporal graph plus its complete (k,δ)-truss
   * answer state — everything §VI's filter-and-verification algorithm reads
   * and writes: the timestamped edges and their time range, the adjacency,
-  * the δ-triangle store `ts`, the static trussness and the k-span table.
+  * the δ-triangle store `ts` and the k-span table `tableView`.
   *
   * The state is kept in the formats of the static build:
   *  - `edges` are the graph's [[TEdge]]s, edge id = index;
@@ -19,13 +19,16 @@ import repro.triangles.{Mts, TriangleSet}
   *  - `ts` is the state's own copy of the [[TriangleSet]] it was seeded
   *    with: [[addEdge]] appends the triangles a new edge closes,
   *    [[addTimestamp]] lowers their mts in place;
-  *  - `trn(e)` and the k-span row `kspan(e)` are primitive arrays grown by
-  *    doubling; only ids `< m` are live.
+  *  - `tableView` is the state's own copy of the [[KSpanTable]] it was
+  *    seeded with, grown by [[addEdge]] and repaired in place by
+  *    [[IndexMaintenance]]. Index refreshes read this live table directly,
+  *    without a copy, so it changes with every insertion; its `deltaMax`
+  *    is an upper bound of the largest mts. [[snapshotTable]] is the
+  *    independent, exact copy.
   *
   * Adjacency rows, timestamp arrays and triangle rows are replaced when they
   * grow, never written in place, so the seeding graph, triangle set and
-  * table are never modified. Span rows are the state's own clones and are
-  * written in place.
+  * table are never modified.
   *
   * Growth-only by design (the paper assumes history is immutable: edges and
   * timestamps are only inserted).
@@ -34,29 +37,17 @@ final class DynamicState private (
     private var adj: Array[Array[Long]],
     val edges: mutable.ArrayBuffer[TEdge],
     val ts: TriangleSet,
-    private var trnBuf: Array[Int],
-    private var spanBuf: Array[Array[Int]],
+    val tableView: KSpanTable,
     private var tLo: Int,
     private var tHi: Int,
 ) {
 
   def m: Int = edges.length
 
-  /** Static trussness by edge id; its length may exceed [[m]]. */
-  def trn: Array[Int] = trnBuf
-
-  /** k-span rows by edge id, `kspan(e)(k − 3)` for `3 ≤ k ≤ trn(e)`; its
-    * length may exceed [[m]].
-    */
-  def kspan: Array[Array[Int]] = spanBuf
-
   /** The packed adjacency row of vertex `v` (empty for an unseen vertex). */
   def adjRow(v: Int): Array[Long] = if (v < adj.length) adj(v) else Array.emptyLongArray
 
   def edgeId(u: Int, v: Int): Int = TemporalGraph.edgeId(adj, u, v)
-
-  def span(e: Int, k: Int): Int = spanBuf(e)(k - 3)
-  def setSpan(e: Int, k: Int, d: Int): Unit = spanBuf(e)(k - 3) = d
 
   /** Whether timestamp `t` keeps the state's time range `[tMin, tMax]`
     * within `Int.MaxValue`, the rule of the [[TemporalGraph]] constructor
@@ -71,20 +62,15 @@ final class DynamicState private (
 
   /** Append a brand-new static edge (canonical `u < v`) with one timestamp;
     * registers its triangles (sorted merge of the endpoint rows) and returns
-    * `(edgeId, newTriangleIds)`. Trussness/k-span state is extended with
-    * placeholders (`trn = 2`, empty k-span row) — the caller maintains them.
+    * `(edgeId, newTriangleIds)`. The table gets the edge with `trn = 2` and
+    * an empty k-span row — the caller maintains them.
     */
   def addEdge(u: Int, v: Int, t: Int): (Int, Seq[Int]) = {
     require(u >= 0 && u < v && edgeId(u, v) < 0)
     widen(t)
     val eid = m
     edges += TEdge(u, v, Array(t))
-    if (eid == trnBuf.length) {
-      trnBuf = java.util.Arrays.copyOf(trnBuf, math.max(16, 2 * eid))
-      spanBuf = java.util.Arrays.copyOf(spanBuf, trnBuf.length)
-    }
-    trnBuf(eid) = 2
-    spanBuf(eid) = Array.emptyIntArray
+    tableView.appendEdge()
     // every triangle through eid is (e1, e2, eid): eid is the largest id
     val closed = new mutable.ArrayBuilder.ofInt
     val ru = adjRow(u); val rv = adjRow(v)
@@ -97,7 +83,7 @@ final class DynamicState private (
         val eu = eidOf(ru(i)); val ev = eidOf(rv(j))
         val a = math.min(eu, ev); val b = math.max(eu, ev)
         val mtsNew = Mts.of(edges(a).ts, edges(b).ts, edges(eid).ts)
-        if (mtsNew > deltaMaxUB) deltaMaxUB = mtsNew
+        tableView.raiseDeltaMax(mtsNew)
         closed += a += b += eid += mtsNew
         i += 1; j += 1
       }
@@ -137,41 +123,16 @@ final class DynamicState private (
     changed.toSeq
   }
 
-  /** Grow the k-span row of `e` to cover `k = 3..trn(e)` after a trussness
-    * increase; new top slots are initialized to `init`.
-    */
-  def growSpanRow(e: Int, init: Int): Unit = {
-    val want = math.max(0, trnBuf(e) - 2)
-    val cur = spanBuf(e)
-    if (cur.length < want) {
-      val nu = java.util.Arrays.copyOf(cur, want)
-      java.util.Arrays.fill(nu, cur.length, want, init)
-      spanBuf(e) = nu
-    }
-  }
-
   // --- snapshots for verification against rebuild ------------------------
 
   def snapshotGraph: TemporalGraph = new TemporalGraph(edges.toArray)
 
   def snapshotTriangles: TriangleSet = ts.copy
 
-  def snapshotTable: KSpanTable =
-    new KSpanTable(java.util.Arrays.copyOf(trnBuf, m), Array.tabulate(m)(spanBuf(_).clone()), ts.deltaMax)
-
-  /** Monotone upper bound on deltaMax (mts only shrinks; new triangles may
-    * raise it) — lets [[tableView]] avoid the O(|Δ|) max scan per call.
+  /** An independent, exact copy of the live table, with the exact
+    * `deltaMax` of the triangles.
     */
-  private var deltaMaxUB: Int = ts.deltaMax
-
-  /** The current k-span state for incremental index refreshes: O(m) copies
-    * of the trussness array and of the array of span rows. The rows
-    * themselves are shared, so a later insertion that rewrites a span in
-    * place shows through an earlier view. `deltaMax` is the monotone upper
-    * bound, which only loosens directory sizing, never correctness.
-    */
-  def tableView: KSpanTable =
-    new KSpanTable(java.util.Arrays.copyOf(trnBuf, m), java.util.Arrays.copyOf(spanBuf, m), deltaMaxUB)
+  def snapshotTable: KSpanTable = tableView.copy(ts.deltaMax)
 }
 
 object DynamicState {
@@ -182,8 +143,7 @@ object DynamicState {
       g.adj.clone(),
       mutable.ArrayBuffer.from(g.edges),
       ts.copy,
-      table.trn.clone(),
-      table.spans.map(_.clone()),
+      table.copy(),
       g.tMin, g.tMax,
     )
 }

@@ -55,24 +55,25 @@ object IndexMaintenance {
     require(uRaw >= 0 && vRaw >= 0, s"vertex ids must be non-negative, got ($uRaw, $vRaw)")
     require(st.admits(t), s"timestamp $t widens the time range past Int.MaxValue; time spans would overflow")
     val (u, v) = if (uRaw < vRaw) (uRaw, vRaw) else (vRaw, uRaw)
+    val table = st.tableView
     val existing = st.edgeId(u, v)
     if (existing >= 0) {
       val changed = st.addTimestamp(existing, t)
       if (changed.isEmpty) return InsertReport(newStaticEdge = false, 0, 0, 0, Set.empty)
       val oldMts = changed.map { case (tid, old, _) => tid -> old }.toMap
       val (ks, region, spans, levels) =
-        maintainSpans(st, kHigh = st.trn(existing), candidateTris = oldMts.keySet,
+        maintainSpans(st, kHigh = table.trn(existing), candidateTris = oldMts.keySet,
           oldMtsOf = oldMts, entrantsAt = Map.empty, e0 = existing)
       InsertReport(newStaticEdge = false, ks, region, spans, levels)
     } else {
       val (e0, newTris) = st.addEdge(u, v, t)
 
       // --- static trussness maintenance (filter of k) --------------------
-      val upgraded = TrussInsert.maintain(st.ts, st.trn, e0)
-      val kHigh = st.trn(e0)
+      val upgraded = TrussInsert.maintain(st.ts, table.trn, e0)
+      val kHigh = table.trn(e0)
 
       // entrantsAt(k) = edges whose trussness rose from k−1 to k
-      val entrantsAt: Map[Int, Set[Int]] = upgraded.groupBy(e => st.trn(e))
+      val entrantsAt: Map[Int, Set[Int]] = upgraded.groupBy(e => table.trn(e))
       // Upper-bound k-span estimates for e0 and the L_Ek sets (Def. 12 /
       // Lemma 7). e0 and the level-k entrants are mutually dependent — an
       // entrant may owe its membership to e0 and vice versa — so one joint
@@ -84,7 +85,7 @@ object IndexMaintenance {
         val newish = entrantsAt.getOrElse(kEst, Set.empty) + e0
         val bound = jointUpperBound(st, kEst, newish)
         for (e <- newish) {
-          st.growSpanRow(e, bound); st.setSpan(e, kEst, bound)
+          table.growRow(e, bound); table.setSpan(e, kEst, bound)
         }
       }
 
@@ -116,15 +117,19 @@ object IndexMaintenance {
     var bound = 0
     var found = false
     val ts = st.ts
-    for (e <- newish if st.trn(e) >= k; tid <- ts.byEdge(e)) {
+    val table = st.tableView
+    for (e <- newish if table.trn(e) >= k; tid <- ts.byEdge(e)) {
       var a = ts.e1(tid); var b = ts.e2(tid)
       if (a == e) a = ts.e3(tid) else if (b == e) b = ts.e3(tid)
-      if (st.trn(a) >= k && st.trn(b) >= k) {
+      if (table.trn(a) >= k && table.trn(b) >= k) {
         found = true
         if (ts.mts(tid) > bound) bound = ts.mts(tid)
+        // a settled companion has a k-span at k: a row not yet grown lacks
+        // only its entrant's new top level, and the level-k entrants are
+        // newish
         for (f <- Seq(a, b)) {
-          if (!newish.contains(f) && st.kspan(f).length >= k - 2 && st.span(f, k) > bound)
-            bound = st.span(f, k)
+          if (!newish.contains(f) && table.span(f, k) > bound)
+            bound = table.span(f, k)
         }
       }
     }
@@ -145,6 +150,7 @@ object IndexMaintenance {
       e0: Int,
   ): (Int, Int, Int, Set[Int]) = {
     val ts = st.ts
+    val table = st.tableView
     var verifiedKs = 0
     var regionTotal = 0
     var changedTotal = 0
@@ -158,14 +164,14 @@ object IndexMaintenance {
       val kept = mutable.ArrayBuffer.empty[Int]
       for (tid <- candidateTris) {
         val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
-        if (st.trn(a) >= k && st.trn(b) >= k && st.trn(c) >= k) {
+        if (table.trn(a) >= k && table.trn(b) >= k && table.trn(c) >= k) {
           val newEntryTri = // triangle entering this k-world just now
             oldMtsOf(tid) == Int.MaxValue &&
               (a == e0 || b == e0 || c == e0 ||
                 entrants.contains(a) || entrants.contains(b) || entrants.contains(c))
           val relevant = newEntryTri || oldMtsOf(tid) != Int.MaxValue
           if (relevant) {
-            val dm = math.max(st.span(a, k), math.max(st.span(b, k), st.span(c, k)))
+            val dm = math.max(table.span(a, k), math.max(table.span(b, k), table.span(c, k)))
             val mtsNew = ts.mts(tid)
             // Lemma 5 skip: an already-valid-below-δm or still-above-δm
             // triangle changes nothing; for triangles with brand-new edges
@@ -198,8 +204,9 @@ object IndexMaintenance {
   private def verifyLevel(st: DynamicState, k: Int, seedTris: Array[Int],
                           dMinus: Int, dPlus: Int): (Int, Int) = {
     val ts = st.ts
-    @inline def inKWorld(e: Int): Boolean = st.trn(e) >= k
-    @inline def spanK(e: Int): Int = st.span(e, k)
+    val table = st.tableView
+    @inline def inKWorld(e: Int): Boolean = table.trn(e) >= k
+    @inline def spanK(e: Int): Int = table.span(e, k)
 
     // --- region BFS ----------------------------------------------------
     val region = mutable.HashSet.empty[Int]
@@ -284,7 +291,7 @@ object IndexMaintenance {
     for ((e, nu) <- newSpan) {
       val old = spanK(e)
       assert(nu <= old, s"k-span may only shrink on insertion: edge $e k=$k $old -> $nu")
-      if (nu != old) { st.setSpan(e, k, nu); changed += 1 }
+      if (nu != old) { table.setSpan(e, k, nu); changed += 1 }
     }
     (region.size, changed)
   }

@@ -13,19 +13,18 @@ import repro.triangles.TriangleEnum
   * δ-supports, and drops edges below `k−2`; the fixpoint is the
   * (k, δ)-truss. Synchronous-round peeling computes the same fixpoint as
   * sequential peeling because the support function is monotone in the edge
-  * set. Lineage is truncated every round with `localCheckpoint` — without
-  * it the plan doubles per iteration.
+  * set. The loop terminates: every round that does not reach the fixpoint
+  * removes at least one edge. Lineage is truncated every round
+  * with `localCheckpoint` — without it the plan doubles per iteration.
   */
 object DistTruss {
 
-  def kdTruss(spark: SparkSession, edges: DataFrame, k: Int, delta: Int,
-              maxRounds: Int = 1000): DataFrame = {
+  def kdTruss(spark: SparkSession, edges: DataFrame, k: Int, delta: Int): DataFrame = {
     if (k <= 2) return edges
     var cur = edges.localCheckpoint(true)
     var curCount = cur.count()
-    var rounds = 0
     var converged = curCount == 0
-    while (!converged && rounds < maxRounds) {
+    while (!converged) {
       val tri = TriangleEnum.triangles(cur).filter(col("mts") <= delta)
       val sup = tri
         .select(explode(array(
@@ -44,7 +43,6 @@ object DistTruss {
       converged = nextCount == curCount
       cur = next
       curCount = nextCount
-      rounds += 1
     }
     cur
   }

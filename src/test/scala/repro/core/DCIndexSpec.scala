@@ -68,6 +68,17 @@ class DCIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("arborescence: a tie between the two outgoing edges keeps the horizontal one") {
+    // at (k=3, δ=1) both weights are 1: |T_{3,1}| − |T_{4,1}| = 2 − 1 and
+    // #{e : kspan(e,3) = 1} = 1
+    val t = new KSpanTable(Array(4, 3), Array(Array(0, 1), Array(1)), 1)
+    val idx = DCIndex.fromTable(t)
+    val n = idx.nodes.find(n => n.k == 3 && n.delta == 1).get
+    val p = idx.nodes(n.parent)
+    assert((p.k, p.delta) == (3, 0))
+    for (k <- 2 to 5; d <- 0 to 2) assert(idx.query(k, d).sorted.toSeq == t.trussEdges(k, d).toSeq, s"k=$k d=$d")
+  }
+
   test("lookup rows are strictly increasing in δ and start at 0") {
     val (_, _, idx) = build(11)
     for (row <- idx.lookup) {

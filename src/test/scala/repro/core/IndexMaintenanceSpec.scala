@@ -64,8 +64,10 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     * (the paper's remove-and-reinsert evaluation protocol, §VII-D): the
     * store and k-span table, the incrementally refreshed TC-Index, and a
     * DC-Index built from the live table view with its loose `deltaMax`.
-    * The graph, triangle set and table the state was seeded from stay
-    * untouched.
+    * The live view's `kMax` equals the snapshot's and its `deltaMax` bounds
+    * the snapshot's. A snapshot, and its MBA rebuild, stay equal after the
+    * next insertion. The graph, triangle set and table the state was
+    * seeded from stay untouched.
     */
   private def replay(seed: Int, g: TemporalGraph, n: Int): Unit = {
     val rnd = new Random(seed)
@@ -81,9 +83,17 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val baseTable = MBA.build(baseTs)
     val st = DynamicState.fromGraph(base, baseTs, baseTable)
     var tc = TCIndex.fromTable(st.tableView)
+    var prevSnapshot = st.snapshotTable
+    var prevRebuilt = MBA.build(st.snapshotTriangles)
     for ((u, v, t) <- replayable ++ dropped) {
       val report = IndexMaintenance.insert(st, u, v, t)
+      assert(prevSnapshot == prevRebuilt, s"seed=$seed: the previous snapshot changed with ($u,$v,$t)")
       assertMatchesRebuild(st, s"seed=$seed after insert ($u,$v,$t)")
+      val snapshot = st.snapshotTable
+      assert(st.tableView.kMax == snapshot.kMax && st.tableView.deltaMax >= snapshot.deltaMax,
+        s"seed=$seed: live view bounds diverged after ($u,$v,$t)")
+      prevSnapshot = snapshot
+      prevRebuilt = MBA.build(st.snapshotTriangles)
       // the reported changed levels must be sufficient for an incremental
       // TC refresh to coincide with a full index rebuild
       tc = TCIndex.refreshRows(tc, st.tableView, report.changedLevels)
@@ -130,7 +140,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val r = IndexMaintenance.insert(st, 0, 2, 10)
     assert(!r.newStaticEdge)
     assertMatchesRebuild(st, "tighten")
-    assert(st.span(st.edgeId(0, 1), 3) == 1)
+    assert(st.tableView.span(st.edgeId(0, 1), 3) == 1)
   }
 
   test("duplicate timestamp is a no-op") {
@@ -147,8 +157,8 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val r = IndexMaintenance.insert(st, 0, 2, 7)
     assert(r.newStaticEdge)
     assertMatchesRebuild(st, "close-triangle")
-    assert(st.trn(st.edgeId(0, 2)) == 3)
-    assert(st.span(st.edgeId(0, 2), 3) == 2)
+    assert(st.tableView.trn(st.edgeId(0, 2)) == 3)
+    assert(st.tableView.span(st.edgeId(0, 2), 3) == 2)
   }
 
   test("edge insertion with a brand-new vertex") {
@@ -156,7 +166,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val st = freshState(g)
     IndexMaintenance.insert(st, 2, 9, 3)
     assertMatchesRebuild(st, "new-vertex")
-    assert(st.trn(st.edgeId(2, 9)) == 2)
+    assert(st.tableView.trn(st.edgeId(2, 9)) == 2)
   }
 
   test("edge insertion that upgrades surrounding trussness (L_Ek exercise)") {
@@ -169,7 +179,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val r = IndexMaintenance.insert(st, 0, 4, 3)
     assert(r.newStaticEdge)
     assertMatchesRebuild(st, "K5 completion")
-    assert((0 until st.m).forall(st.trn(_) == 5))
+    assert((0 until st.m).forall(st.tableView.trn(_) == 5))
   }
 
   test("stream: grow two overlapping cliques edge by edge from scratch-ish base") {
