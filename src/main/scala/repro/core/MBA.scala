@@ -29,8 +29,7 @@ object MBA {
   def build(ts: TriangleSet): KSpanTable = {
     val m = ts.m
     val trn0 = TrussDecomposition.trussness(ts)
-    val dMax = ts.deltaMax
-    val table = KSpanTable.allocate(trn0, dMax)
+    val table = KSpanTable.allocate(trn0, ts.deltaMax)
 
     val trn = trn0.clone()
     val nTri = ts.size
@@ -100,14 +99,9 @@ object MBA {
       }
     }
 
-    val byMts = ts.byMts
-    var delta = dMax
-    while (delta >= 1) {
-      val bucket = byMts(delta)
-      var bi = 0
-      while (bi < bucket.length) { invalidate(bucket(bi), delta); bi += 1 }
-      delta -= 1
-    }
+    val order = ts.byMtsDescending
+    i = 0
+    while (i < order.length && ts.mts(order(i)) > 0) { invalidate(order(i), ts.mts(order(i))); i += 1 }
 
     // survivors of the whole sweep are in T_{k,0} for every k ≤ trn_0(e)
     var e = 0

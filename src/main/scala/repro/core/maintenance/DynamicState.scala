@@ -1,7 +1,7 @@
 package repro.core.maintenance
 
 import scala.collection.mutable
-import repro.core.KSpanTable
+import repro.core.{KSpanTable, LevelPeel}
 import repro.tgraph.{TEdge, TemporalGraph}
 import repro.tgraph.TemporalGraph.{eidOf, nbrOf}
 import repro.triangles.{Mts, TriangleSet}
@@ -43,6 +43,11 @@ final class DynamicState private (
 ) {
 
   def m: Int = edges.length
+
+  /** The scratch of §VI's verification: GAS and the level peel of
+    * [[IndexMaintenance]] mark their region and local triangles in it.
+    */
+  private[maintenance] val levelPeel = new LevelPeel(ts)
 
   /** The packed adjacency row of vertex `v` (empty for an unseen vertex). */
   def adjRow(v: Int): Array[Long] = if (v < adj.length) adj(v) else Array.emptyLongArray

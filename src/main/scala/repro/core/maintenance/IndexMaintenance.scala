@@ -24,10 +24,12 @@ import repro.truss.TrussInsert
   *  3. **Filter of edge / GAS** (Algorithm 1): BFS from the affected
   *     triangles through triangles of k-rank ≤ δ+, collecting the region of
   *     edges with current k-span inside the interval plus the local
-  *     δ-triangle list.
-  *  4. **Verification**: run DBA's `decomph` peeling on the region from δ+
-  *     down to δ−. Edges outside the region that appear in local triangles
-  *     necessarily have k-span < δ− and act as fixed boundary support.
+  *     δ-triangle list, marked in the stamped arrays of the state's
+  *     [[repro.core.LevelPeel]].
+  *  4. **Verification**: run the [[repro.core.LevelPeel]] kernel, DBA's
+  *     `decomph` peeling, on the region from δ+ down to δ−. Edges outside
+  *     the region that appear in local triangles necessarily have
+  *     k-span < δ− and act as fixed boundary support.
   *     An edge peeled while invalidating `mts = δ` triangles has new k-span
   *     δ; survivors at the bottom have new k-span δ− (their k-span cannot
   *     drop below δ−, the smallest new mts among affected triangles).
@@ -200,99 +202,53 @@ object IndexMaintenance {
     (verifiedKs, regionTotal, changedTotal, changedLevels.toSet)
   }
 
-  /** GAS (Algorithm 1) + local `decomph` verification for one k level. */
+  /** GAS (Algorithm 1) + the local [[LevelPeel]] verification for one k
+    * level: the region's edges are the members, the local δ-triangle list is
+    * the peel's triangles, and `δ−` is its floor.
+    */
   private def verifyLevel(st: DynamicState, k: Int, seedTris: Array[Int],
                           dMinus: Int, dPlus: Int): (Int, Int) = {
     val ts = st.ts
     val table = st.tableView
+    val peel = st.levelPeel
     @inline def inKWorld(e: Int): Boolean = table.trn(e) >= k
-    @inline def spanK(e: Int): Int = table.span(e, k)
-
-    // --- region BFS ----------------------------------------------------
-    val region = mutable.HashSet.empty[Int]
-    val queue = mutable.ArrayDeque.empty[Int]
-    val sTris = mutable.LinkedHashSet.empty[Int] // the local δ-triangle list
-    for (tid <- seedTris) {
-      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
-      for (e <- Seq(a, b, c))
-        if (spanK(e) >= dMinus && spanK(e) <= dPlus && region.add(e)) queue += e
+    @inline def reach(e: Int): Unit = {
+      val d = table.span(e, k)
+      if (d >= dMinus && d <= dPlus) peel.addMember(e)
     }
-    while (queue.nonEmpty) {
-      val e = queue.removeHead()
-      for (tid <- ts.byEdge(e)) {
+
+    // --- region BFS over the members as they are added ------------------
+    peel.begin()
+    for (tid <- seedTris) { reach(ts.e1(tid)); reach(ts.e2(tid)); reach(ts.e3(tid)) }
+    var next = 0
+    while (next < peel.memberCount) {
+      val incident = ts.byEdge(peel.member(next))
+      next += 1
+      var ti = 0
+      while (ti < incident.length) {
+        val tid = incident(ti)
         val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
         if (inKWorld(a) && inKWorld(b) && inKWorld(c)) {
           val rank = math.max(ts.mts(tid),
-            math.max(spanK(a), math.max(spanK(b), spanK(c))))
+            math.max(table.span(a, k), math.max(table.span(b, k), table.span(c, k))))
           if (rank <= dPlus) {
-            sTris += tid
-            for (f <- Seq(a, b, c))
-              if (spanK(f) >= dMinus && spanK(f) <= dPlus && region.add(f)) queue += f
+            peel.addTriangle(tid)
+            reach(a); reach(b); reach(c)
           }
         }
-      }
-    }
-    if (region.isEmpty) return (0, 0)
-
-    // --- local decomph peel from δ+ down to δ− -------------------------
-    val triIds = sTris.toArray
-    val active = mutable.HashMap.empty[Int, Boolean]
-    val byEdgeLocal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    val sup = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
-    for (tid <- triIds) {
-      val isActive = ts.mts(tid) <= dPlus
-      active(tid) = isActive
-      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
-      for (e <- Seq(a, b, c) if region.contains(e)) {
-        byEdgeLocal.getOrElseUpdate(e, mutable.ArrayBuffer.empty) += tid
-        if (isActive) sup(e) += 1
-      }
-    }
-    // every region edge is a member of the new T_{k,δ+}, so its support
-    // there must already meet the threshold — a violation means the filters
-    // above lost a supporting triangle.
-    for (e <- region)
-      assert(sup(e) >= k - 2,
-        s"GAS region edge $e undersupported at delta+=$dPlus (k=$k): ${sup(e)}")
-    val alive = mutable.HashSet.empty[Int] ++ region
-    val newSpan = mutable.HashMap.empty[Int, Int]
-    val peelQ = mutable.ArrayDeque.empty[Int]
-
-    def deactivate(tid: Int): Unit = {
-      active(tid) = false
-      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
-      for (f <- Seq(a, b, c) if alive.contains(f)) {
-        sup(f) -= 1
-        if (sup(f) < k - 2) peelQ += f
+        ti += 1
       }
     }
 
-    // sweep δ from δ+ down: the triangles of each distinct mts in (δ−, δ+]
-    // turn invalid as one group, and the edges peeled after the group get
-    // that mts as new k-span
-    val sweep = triIds.filter(tid => ts.mts(tid) > dMinus && ts.mts(tid) <= dPlus).sortBy(tid => -ts.mts(tid))
-    for (i <- sweep.indices) {
-      val step = ts.mts(sweep(i))
-      if (active(sweep(i))) deactivate(sweep(i))
-      val groupDone = i + 1 == sweep.length || ts.mts(sweep(i + 1)) != step
-      while (groupDone && peelQ.nonEmpty) {
-        val e = peelQ.removeHead()
-        if (alive.contains(e) && sup(e) < k - 2) {
-          alive -= e
-          newSpan(e) = step
-          for (tid <- byEdgeLocal.getOrElse(e, mutable.ArrayBuffer.empty) if active(tid))
-            deactivate(tid)
-        }
-      }
-    }
-    for (e <- alive) newSpan(e) = dMinus
-
+    // --- local peel from δ+ down to δ− ----------------------------------
+    // every local triangle has mts ≤ rank ≤ δ+, so all start valid
+    peel.sortTriangles()
     var changed = 0
-    for ((e, nu) <- newSpan) {
-      val old = spanK(e)
+    peel.run(k, floor = dMinus) { (e, nu) =>
+      val old = table.span(e, k)
       assert(nu <= old, s"k-span may only shrink on insertion: edge $e k=$k $old -> $nu")
       if (nu != old) { table.setSpan(e, k, nu); changed += 1 }
     }
-    (region.size, changed)
+    (peel.memberCount, changed)
   }
 }

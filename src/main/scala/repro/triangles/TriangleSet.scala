@@ -40,22 +40,21 @@ final class TriangleSet private (private var quads: Array[Int], private var n: I
     d
   }
 
-  /** `byMts(δ)` = ids of triangles whose mts is exactly δ, for
-    * `0 ≤ δ ≤ deltaMax` (Definition 9); computed on each call.
+  /** Ids of all triangles in descending order of mts, ties in ascending id:
+    * the sweep order of MBA and DBA (Definition 9's δ-triangle list). A
+    * counting sort over `0..deltaMax`, computed on each call.
     */
-  def byMts: Array[Array[Int]] = {
+  def byMtsDescending: Array[Int] = {
     val dMax = deltaMax
-    val cnt = new Array[Int](dMax + 1)
+    val next = new Array[Int](dMax + 1) // count of mts δ, then the next slot of δ
     var tid = 0
-    while (tid < n) { cnt(mts(tid)) += 1; tid += 1 }
-    val out = Array.tabulate(dMax + 1)(d => new Array[Int](cnt(d)))
-    val fill = new Array[Int](dMax + 1)
+    while (tid < n) { next(mts(tid)) += 1; tid += 1 }
+    var filled = 0
+    var d = dMax
+    while (d >= 0) { val c = next(d); next(d) = filled; filled += c; d -= 1 }
+    val out = new Array[Int](n)
     tid = 0
-    while (tid < n) {
-      val d = mts(tid)
-      out(d)(fill(d)) = tid; fill(d) += 1
-      tid += 1
-    }
+    while (tid < n) { out(next(mts(tid))) = tid; next(mts(tid)) += 1; tid += 1 }
     out
   }
 

@@ -84,11 +84,10 @@ object TrussInsert {
         }
         val drop = scala.collection.mutable.ArrayDeque.empty[Int] ++
           cand.filter(c => sup(c) < k - 2)
-        val dropped = scala.collection.mutable.HashSet.empty[Int]
         while (drop.nonEmpty) {
           val c = drop.removeHead()
           if (alive.contains(c)) {
-            alive -= c; dropped += c
+            alive -= c
             for (tid <- ts.byEdge(c)) {
               val a = lo(tid, c); val b = hi(tid, c)
               // before c dropped, the triangle was counted in sup(a) iff the

@@ -8,9 +8,12 @@ class KSpanSpec extends AnyFunSuite {
   private def bruteSpan(ts: repro.triangles.TriangleSet, e: Int, k: Int): Int =
     (0 to ts.deltaMax).find(d => TestGraphs.bruteTruss(ts, k, d).contains(e)).get
 
-  for (seed <- 0 until 15) {
-    test(s"random graph seed=$seed: DBA == MBA") {
-      val ts = TestGraphs.tris(TestGraphs.random(seed))
+  private val dbaInputs =
+    (0 until 15).map(seed => s"random graph seed=$seed" -> (() => TestGraphs.random(seed))) :+
+      ("planted 14-clique, kmax 12" -> (() => TestGraphs.plantedCore._1))
+  for ((name, graph) <- dbaInputs) {
+    test(s"$name: DBA == MBA") {
+      val ts = TestGraphs.tris(graph())
       assert(DBA.build(ts) == MBA.build(ts))
     }
   }

@@ -43,6 +43,20 @@ class MaintenanceStressSpec extends AnyFunSuite {
     }
   }
 
+  test("planted 14-clique: reinserts verify many levels and match the rebuild") {
+    val (g, removed) = TestGraphs.plantedCore
+    val ts = DriverTriangles.enumerate(g)
+    val st = DynamicState.fromGraph(g, ts, MBA.build(ts))
+    assert(st.tableView.kMax == 12)
+    var maxVerified = 0
+    for ((u, v, t) <- removed) {
+      val r = IndexMaintenance.insert(st, u, v, t)
+      maxVerified = math.max(maxVerified, r.verifiedKs)
+      assert(st.snapshotTable == MBA.build(st.snapshotTriangles), s"diverged after insert ($u,$v,$t)")
+    }
+    assert(maxVerified >= 10, s"no reinsert verified 10 levels: at most $maxVerified")
+  }
+
   test("locality: timestamp insertions verify only a bounded region") {
     val g = TestGraphs.random(200, nV = 24, pEdge = 0.35, horizon = 100, maxStamps = 2)
     val ts = DriverTriangles.enumerate(g)

@@ -31,6 +31,18 @@ object TestGraphs {
 
   def tris(g: TemporalGraph): TriangleSet = DriverTriangles.enumerate(g)
 
+  /** The generator's test config with a planted 14-clique on vertices
+    * 0..13, minus 16 seeded interactions on clique edges: 530 edges, 613
+    * triangles, kmax 12. Returns the graph and the removed interactions,
+    * whose reinsertion touches the top levels of the clique.
+    */
+  lazy val plantedCore: (TemporalGraph, Seq[(Int, Int, Int)]) = {
+    val g = TemporalGraphGen.generate(TemporalGraphGen.GenCfgForTest.copy(coreCliqueSize = 14))
+    val all = g.edges.toSeq.flatMap(e => e.ts.map(t => (e.u, e.v, t)))
+    val removed = new Random(3).shuffle(all.filter(_._2 < 14)).take(16)
+    (TemporalGraph.fromInteractions(all.diff(removed)), removed)
+  }
+
   /** Brute-force edge set of T_{k,δ}: fixpoint peeling over δ-triangles. */
   def bruteTruss(ts: TriangleSet, k: Int, delta: Int): Set[Int] =
     repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.mts(i) <= delta)
