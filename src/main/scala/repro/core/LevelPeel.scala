@@ -2,21 +2,27 @@ package repro.core
 
 import repro.triangles.TriangleSet
 
-/** The decremental peel of one level k over δ (§V-A's `decomph`), the one
-  * kernel of [[DBA]] and of the verification step of §VI's Algorithm 2.
+/** The support peel of one level k, the one kernel of [[DBA]], of the
+  * verification step of §VI's Algorithm 2 and of [[repro.truss.TrussInsert]].
   *
   * A call — [[begin]], then [[addMember]] and [[addTriangle]], then [[run]]
-  * — is given a level k, the member edges that may be peeled and their
-  * triangles in descending mts order, and a floor. Every given triangle
-  * starts valid, and every member must have at least k − 2 of them. The peel
-  * then invalidates the triangles one equal-mts group at a time while
-  * mts > floor, and after each group peels the members whose support fell
-  * below k − 2, invalidating their still-valid triangles. A member peeled
-  * after the group of mts δ leaves `T_{k,δ−1}`, so its k-span is δ
-  * (Lemma 4); a survivor gets the floor. Edges of the given triangles that
-  * are not members are fixed support: they are never peeled. The fixpoint
-  * after each group, and with it every k-span, does not depend on the order
-  * of the peel inside the group.
+  * or [[fixpoint]] — is given a level k, the member edges that may be peeled
+  * and their triangles. Every given triangle starts valid. Edges of the
+  * given triangles that are not members are fixed support: they are never
+  * peeled.
+  *
+  *  - [[run]] is §V-A's decremental peel over δ (`decomph`). The triangles
+  *    come in descending mts order, every member must have at least k − 2
+  *    of them, and a floor is given. The peel invalidates the triangles one
+  *    equal-mts group at a time while mts > floor, and after each group
+  *    peels the members whose support fell below k − 2, invalidating their
+  *    still-valid triangles. A member peeled after the group of mts δ
+  *    leaves `T_{k,δ−1}`, so its k-span is δ (Lemma 4); a survivor gets the
+  *    floor. The fixpoint after each group, and with it every k-span, does
+  *    not depend on the order of the peel inside the group.
+  *  - [[fixpoint]] is the same peel without the sweep: members may start
+  *    below k − 2, and it peels them until every survivor has k − 2 valid
+  *    triangles, the support fixpoint of Huang et al.'s truss maintenance.
   *
   * Members and triangles are marked in primitive arrays stamped with the
   * call's epoch, so a call costs time in its triangles and its members'
@@ -24,7 +30,7 @@ import repro.triangles.TriangleSet
   * collecting the members and triangles by search, like GAS, dedupes them
   * through the same marks.
   */
-private[core] final class LevelPeel(ts: TriangleSet) {
+private[repro] final class LevelPeel(ts: TriangleSet) {
   private var epoch = 0
   private var edgeMark = Array.emptyIntArray // == epoch: a member not yet peeled
   private var sup = Array.emptyIntArray      // a member's valid given triangles
@@ -33,6 +39,11 @@ private[core] final class LevelPeel(ts: TriangleSet) {
   private var nMembers = 0
   private var tris = new Array[Int](16)
   private var nTris = 0
+  // the members to peel, each queued once: when its support first falls
+  // below k − 2
+  private var queue = Array.emptyIntArray
+  private var top = 0
+  private var level = 0 // the k of the running call
 
   /** Start a new call, with no members and no triangles. */
   def begin(): Unit = {
@@ -66,6 +77,8 @@ private[core] final class LevelPeel(ts: TriangleSet) {
     tris = appended(tris, nTris, tid); nTris += 1
   }
 
+  def triangleCount: Int = nTris
+
   private def appended(buf: Array[Int], n: Int, x: Int): Array[Int] = {
     val out = if (n == buf.length) java.util.Arrays.copyOf(buf, 2 * n) else buf
     out(n) = x
@@ -87,18 +100,7 @@ private[core] final class LevelPeel(ts: TriangleSet) {
     * `settle`. Ends the call: the marks are not read again until [[begin]].
     */
   def run(k: Int, floor: Int)(settle: (Int, Int) => Unit): Unit = {
-    // each member is queued once, when a decrement first takes its support
-    // below k − 2
-    val queue = new Array[Int](nMembers)
-    var top = 0
-    def count(e: Int, by: Int): Unit = if (edgeMark(e) == epoch) {
-      sup(e) += by
-      if (by < 0 && sup(e) == k - 3) { queue(top) = e; top += 1 }
-    }
-    def countEdges(tid: Int, by: Int): Unit = { count(ts.e1(tid), by); count(ts.e2(tid), by); count(ts.e3(tid), by) }
-    def kill(tid: Int): Unit = { triMark(tid) = 0; countEdges(tid, -1) }
-
-    for (i <- 0 until nTris) countEdges(tris(i), 1)
+    countSupport(k)
     // every member belongs to T_{k,δ} at the top of the sweep, so its
     // support there must already meet the threshold; a violation means the
     // caller lost a supporting triangle
@@ -112,19 +114,51 @@ private[core] final class LevelPeel(ts: TriangleSet) {
         if (triMark(tris(i)) == epoch) kill(tris(i))
         i += 1
       }
-      while (top > 0) {
-        top -= 1
-        val e = queue(top)
-        edgeMark(e) = 0
-        settle(e, d)
-        val incident = ts.byEdge(e)
-        var ti = 0
-        while (ti < incident.length) {
-          if (triMark(incident(ti)) == epoch) kill(incident(ti))
-          ti += 1
-        }
-      }
+      drain(settle(_, d))
     }
     for (i <- 0 until nMembers if edgeMark(members(i)) == epoch) settle(members(i), floor)
+  }
+
+  /** Peel the members of level `k` until each survivor has at least k − 2
+    * valid given triangles, and pass every survivor to `keep`. Ends the
+    * call, as [[run]] does.
+    */
+  def fixpoint(k: Int)(keep: Int => Unit): Unit = {
+    countSupport(k)
+    for (i <- 0 until nMembers if sup(members(i)) < k - 2) { queue(top) = members(i); top += 1 }
+    drain(_ => ())
+    for (i <- 0 until nMembers if edgeMark(members(i)) == epoch) keep(members(i))
+  }
+
+  private def countSupport(k: Int): Unit = {
+    level = k
+    queue = new Array[Int](nMembers)
+    top = 0
+    for (i <- 0 until nTris) countEdges(tris(i), 1)
+  }
+
+  private def count(e: Int, by: Int): Unit = if (edgeMark(e) == epoch) {
+    sup(e) += by
+    if (by < 0 && sup(e) == level - 3) { queue(top) = e; top += 1 }
+  }
+
+  private def countEdges(tid: Int, by: Int): Unit = { count(ts.e1(tid), by); count(ts.e2(tid), by); count(ts.e3(tid), by) }
+
+  private def kill(tid: Int): Unit = { triMark(tid) = 0; countEdges(tid, -1) }
+
+  /** Peel the queued members, and those their peel queues, passing each to
+    * `peeled`.
+    */
+  private def drain(peeled: Int => Unit): Unit = while (top > 0) {
+    top -= 1
+    val e = queue(top)
+    edgeMark(e) = 0
+    peeled(e)
+    val incident = ts.byEdge(e)
+    var ti = 0
+    while (ti < incident.length) {
+      if (triMark(incident(ti)) == epoch) kill(incident(ti))
+      ti += 1
+    }
   }
 }

@@ -44,8 +44,9 @@ final class DynamicState private (
 
   def m: Int = edges.length
 
-  /** The scratch of §VI's verification: GAS and the level peel of
-    * [[IndexMaintenance]] mark their region and local triangles in it.
+  /** The scratch of §VI's peels: [[repro.truss.TrussInsert]]'s candidate
+    * search and support fixpoint, and GAS and the level peel of
+    * [[IndexMaintenance]], mark their edges and triangles in it.
     */
   private[maintenance] val levelPeel = new LevelPeel(ts)
 
@@ -103,29 +104,32 @@ final class DynamicState private (
 
   /** Add timestamp `t` to existing edge `e` (no-op if already present);
     * refreshes the mts of every triangle through `e` and returns the
-    * triangles whose mts changed as `(tid, oldMts, newMts)`.
+    * triangles whose mts changed, and their mts before the change, as two
+    * parallel arrays.
     */
-  def addTimestamp(e: Int, t: Int): Seq[(Int, Int, Int)] = {
+  def addTimestamp(e: Int, t: Int): (Array[Int], Array[Int]) = {
     val ts0 = edges(e).ts
     val pos = java.util.Arrays.binarySearch(ts0, t)
-    if (pos >= 0) return Seq.empty
+    if (pos >= 0) return (Array.emptyIntArray, Array.emptyIntArray)
     widen(t)
     val ins = -pos - 1
     val nts = java.util.Arrays.copyOf(ts0, ts0.length + 1)
     System.arraycopy(ts0, ins, nts, ins + 1, ts0.length - ins)
     nts(ins) = t
     edges(e) = edges(e).copy(ts = nts)
-    val changed = mutable.ArrayBuffer.empty[(Int, Int, Int)]
+    val tids = new mutable.ArrayBuilder.ofInt
+    val oldMts = new mutable.ArrayBuilder.ofInt
     for (tid <- ts.byEdge(e)) {
       val old = ts.mts(tid)
       val nu = Mts.of(edges(ts.e1(tid)).ts, edges(ts.e2(tid)).ts, edges(ts.e3(tid)).ts)
       if (nu != old) {
         assert(nu < old, s"mts may only shrink on timestamp insertion ($old -> $nu)")
         ts.setMts(tid, nu)
-        changed += ((tid, old, nu))
+        tids += tid
+        oldMts += old
       }
     }
-    changed.toSeq
+    (tids.result(), oldMts.result())
   }
 
   // --- snapshots for verification against rebuild ------------------------

@@ -1,6 +1,5 @@
 package repro.core.maintenance
 
-import scala.collection.mutable
 import repro.truss.TrussInsert
 
 /** Dynamic index maintenance (§VI): on inserting a temporal edge
@@ -11,13 +10,19 @@ import repro.truss.TrussInsert
   *
   *  1. **Filter of k** (Theorem 5): only `3 ≤ k ≤ trn(e0, G+)` can change.
   *     For a brand-new static edge, static trussness is first maintained
-  *     with [[TrussInsert]]; edges whose trussness rises to `k` (the `L_Ek`
-  *     sets of Definition 11) get a fresh level-`k` slot initialized to the
-  *     upper-bound estimate of Definition 12 / Lemma 7, and their newly
-  *     activated triangles are treated as dropping from `mts = ∞` — which
+  *     with [[TrussInsert]] on the state's [[repro.core.LevelPeel]]; edges
+  *     whose trussness rises to `k` (the `L_Ek` sets of Definition 11) get
+  *     a fresh level-`k` slot initialized to the upper-bound estimate of
+  *     Definition 12 / Lemma 7. Both kinds of insertion then hand steps 2–4
+  *     one candidate list of triangles, each with its mts before the
+  *     insertion and the level above which it is new to the k-world: the
+  *     smallest old trussness of its edges, `e0` counting as 2. Above that
+  *     level the triangle is treated as dropping from `mts = ∞`, which
   *     reduces edge insertion to the timestamp-insertion machinery.
-  *  2. **Filter of k-span** (Lemmas 5–6): candidate triangles that cannot
-  *     lower any k-span are discarded; the survivors yield the affected
+  *  2. **Filter of k-span** (Lemmas 5–6): at each k, the candidate
+  *     triangles of the k-world that cannot lower any k-span are discarded
+  *     (one that is neither new to the k-world nor of lowered mts never
+  *     can); the survivors yield the affected
   *     interval `[δ−, δ+]` (we merge all per-triangle intervals into one —
   *     a superset of the paper's disjoint-interval union, trading a little
   *     verification work for a simpler invariant).
@@ -45,6 +50,12 @@ object IndexMaintenance {
       /** k levels whose I_k row membership or edge positions changed —
         * exactly the rows an incremental TC-Index refresh must rebuild. */
       changedLevels: Set[Int],
+      /** triangles whose mts changed or that may enter a k-world */
+      candidateTris: Int,
+      /** (candidate, level) pairs in the k-world that Lemma 5 discarded */
+      lemma5Skips: Int,
+      /** local δ-triangles of the verified levels, summed */
+      regionTris: Int,
   )
 
   /** Insert temporal edge `(u, v, t)` and restore the full k-span state.
@@ -60,154 +71,139 @@ object IndexMaintenance {
     val table = st.tableView
     val existing = st.edgeId(u, v)
     if (existing >= 0) {
-      val changed = st.addTimestamp(existing, t)
-      if (changed.isEmpty) return InsertReport(newStaticEdge = false, 0, 0, 0, Set.empty)
-      val oldMts = changed.map { case (tid, old, _) => tid -> old }.toMap
-      val (ks, region, spans, levels) =
-        maintainSpans(st, kHigh = table.trn(existing), candidateTris = oldMts.keySet,
-          oldMtsOf = oldMts, entrantsAt = Map.empty, e0 = existing)
-      InsertReport(newStaticEdge = false, ks, region, spans, levels)
+      val (tids, oldMts) = st.addTimestamp(existing, t)
+      maintainSpans(st, newStaticEdge = false, kHigh = table.trn(existing), tids, oldMts, table.trn(_))
     } else {
       val (e0, newTris) = st.addEdge(u, v, t)
 
       // --- static trussness maintenance (filter of k) --------------------
-      val upgraded = TrussInsert.maintain(st.ts, table.trn, e0)
+      val upgraded = TrussInsert.maintain(st.ts, st.levelPeel, table.trn, e0)
       val kHigh = table.trn(e0)
+      java.util.Arrays.sort(upgraded)
+      // each upgraded edge rose by exactly one level
+      def oldTrn(e: Int): Int =
+        if (e == e0) 2
+        else if (java.util.Arrays.binarySearch(upgraded, e) >= 0) table.trn(e) - 1
+        else table.trn(e)
 
-      // entrantsAt(k) = edges whose trussness rose from k−1 to k
-      val entrantsAt: Map[Int, Set[Int]] = upgraded.groupBy(e => table.trn(e))
-      // Upper-bound k-span estimates for e0 and the L_Ek sets (Def. 12 /
-      // Lemma 7). e0 and the level-k entrants are mutually dependent — an
-      // entrant may owe its membership to e0 and vice versa — so one joint
-      // bound per level is computed over the whole "newish" component: the
-      // max of (t1) the mts of every k-world triangle touching it and (t2)
-      // the current k-span of every settled companion in those triangles.
-      // The fixpoint argument of Lemma 7 applies verbatim to the union.
-      for (kEst <- 3 to kHigh) {
-        val newish = entrantsAt.getOrElse(kEst, Set.empty) + e0
-        val bound = jointUpperBound(st, kEst, newish)
-        for (e <- newish) {
-          table.growRow(e, bound); table.setSpan(e, kEst, bound)
-        }
-      }
+      for (k <- 3 to kHigh) estimateSpans(st, k, e0 +: upgraded.filter(table.trn(_) == k), oldTrn(_) < k)
 
       // candidate triangles: the new ones through e0 (entering every
-      // k-world), plus pre-existing triangles that enter the k-world of an
-      // upgraded edge's new level; all treated as mts ∞ → mts
-      val cand = mutable.HashSet.empty[Int] ++ newTris
-      for ((_, es) <- entrantsAt; e <- es; tid <- st.ts.byEdge(e)) cand += tid
-      val (ks, region, spans, levels) =
-        maintainSpans(st, kHigh = kHigh, candidateTris = cand.toSet,
-          oldMtsOf = Map.empty.withDefaultValue(Int.MaxValue),
-          entrantsAt = entrantsAt, e0 = e0)
-      // a new static edge joins every row k ≤ trn(e0); entrants join theirs
-      InsertReport(newStaticEdge = true, ks, region, spans,
-        levels ++ (3 to kHigh))
+      // k-world), plus pre-existing triangles that may enter the k-world of
+      // an upgraded edge's new level; all keep their mts, so Lemma 5 skips
+      // every one that is not new to the k-world
+      val cand = new java.util.BitSet
+      for (tid <- newTris) cand.set(tid)
+      for (e <- upgraded; tid <- st.ts.byEdge(e)) cand.set(tid)
+      val tids = cand.stream.toArray
+      maintainSpans(st, newStaticEdge = true, kHigh, tids, tids.map(st.ts.mts), oldTrn)
     }
   }
 
-  /** Joint Lemma-7 upper bound for the level-`k` "newish" edges (`e0` plus
-    * the entrants whose trussness rose to `k`): every newish edge belongs to
-    * `T_{k,δ̄}` for `δ̄ = max(t1, t2)` with `t1` the largest mts of a
-    * triangle of the new k-truss touching a newish edge and `t2` the
-    * largest current k-span among settled companions in those triangles —
-    * at that δ every such triangle is valid and every settled companion is
-    * already a member, so the newish edges support each other exactly as in
-    * the new k-truss.
+  /** Upper-bound k-span estimates for the level-`k` "newish" edges (Def. 12
+    * / Lemma 7): `e0` and the entrants whose trussness rose to `k`, the
+    * k-world edges of old trussness below k. e0 and the level-k entrants are
+    * mutually dependent — an entrant may owe its membership to e0 and vice
+    * versa — so one joint bound is computed over the whole newish
+    * component and written as the k-span of each newish edge: every newish
+    * edge belongs to `T_{k,δ̄}` for `δ̄ = max(t1, t2)` with `t1` the largest
+    * mts of a triangle of the new k-truss touching a newish edge and `t2`
+    * the largest current k-span among settled companions in those
+    * triangles — at that δ every such triangle is valid and every settled
+    * companion is already a member, so the newish edges support each other
+    * exactly as in the new k-truss. The fixpoint argument of Lemma 7
+    * applies verbatim to the union.
     */
-  private def jointUpperBound(st: DynamicState, k: Int, newish: Set[Int]): Int = {
+  private def estimateSpans(st: DynamicState, k: Int, newish: Array[Int], isNewish: Int => Boolean): Unit = {
     var bound = 0
     var found = false
     val ts = st.ts
     val table = st.tableView
-    for (e <- newish if table.trn(e) >= k; tid <- ts.byEdge(e)) {
+    // a settled companion has a k-span at k: a row not yet grown lacks only
+    // its entrant's new top level, and the level-k entrants are newish
+    def settled(f: Int): Unit = if (!isNewish(f) && table.span(f, k) > bound) bound = table.span(f, k)
+    for (e <- newish; tid <- ts.byEdge(e)) {
       var a = ts.e1(tid); var b = ts.e2(tid)
       if (a == e) a = ts.e3(tid) else if (b == e) b = ts.e3(tid)
       if (table.trn(a) >= k && table.trn(b) >= k) {
         found = true
         if (ts.mts(tid) > bound) bound = ts.mts(tid)
-        // a settled companion has a k-span at k: a row not yet grown lacks
-        // only its entrant's new top level, and the level-k entrants are
-        // newish
-        for (f <- Seq(a, b)) {
-          if (!newish.contains(f) && table.span(f, k) > bound)
-            bound = table.span(f, k)
-        }
+        settled(a); settled(b)
       }
     }
     assert(found, s"no k-world triangle touches the newish edges at k=$k")
-    bound
+    for (e <- newish) { table.growRow(e, bound); table.setSpan(e, k, bound) }
   }
 
-  /** Steps 2–4 for every affected k. `candidateTris` either changed mts
-    * (`oldMtsOf`) or entered the k-world (`oldMts = ∞`). Returns
-    * `(verifiedKs, regionEdgesTotal, changedSpans, changedLevels)`.
+  /** Steps 2–4 for every k from `kHigh` down to 3. Candidate `tids(i)` had
+    * mts `oldMts(i)` before the insertion, and is new to the k-world of
+    * every k above the smallest old trussness `oldTrn` of its edges.
     */
   private def maintainSpans(
       st: DynamicState,
+      newStaticEdge: Boolean,
       kHigh: Int,
-      candidateTris: Set[Int],
-      oldMtsOf: Map[Int, Int],
-      entrantsAt: Map[Int, Set[Int]],
-      e0: Int,
-  ): (Int, Int, Int, Set[Int]) = {
+      tids: Array[Int],
+      oldMts: Array[Int],
+      oldTrn: Int => Int,
+  ): InsertReport = {
     val ts = st.ts
     val table = st.tableView
+    val newAbove = tids.map(tid => math.min(oldTrn(ts.e1(tid)), math.min(oldTrn(ts.e2(tid)), oldTrn(ts.e3(tid)))))
+    val kept = new Array[Int](tids.length)
+    val changedAt = new Array[Int](kHigh + 1)
     var verifiedKs = 0
-    var regionTotal = 0
-    var changedTotal = 0
-    val changedLevels = scala.collection.mutable.HashSet.empty[Int]
+    var regionEdges = 0
+    var regionTris = 0
+    var skips = 0
     var k = kHigh
     while (k >= 3) {
-      val entrants = entrantsAt.getOrElse(k, Set.empty)
       // --- filter of k-span (Lemma 5) ----------------------------------
+      var nKept = 0
       var dPlus = -1
       var dMinus = Int.MaxValue
-      val kept = mutable.ArrayBuffer.empty[Int]
-      for (tid <- candidateTris) {
+      for (i <- tids.indices) {
+        val tid = tids(i)
         val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
         if (table.trn(a) >= k && table.trn(b) >= k && table.trn(c) >= k) {
-          val newEntryTri = // triangle entering this k-world just now
-            oldMtsOf(tid) == Int.MaxValue &&
-              (a == e0 || b == e0 || c == e0 ||
-                entrants.contains(a) || entrants.contains(b) || entrants.contains(c))
-          val relevant = newEntryTri || oldMtsOf(tid) != Int.MaxValue
-          if (relevant) {
-            val dm = math.max(table.span(a, k), math.max(table.span(b, k), table.span(c, k)))
-            val mtsNew = ts.mts(tid)
-            // Lemma 5 skip: an already-valid-below-δm or still-above-δm
-            // triangle changes nothing; for triangles with brand-new edges
-            // the equality case must be kept (their span entry is only an
-            // estimate that still needs verification).
-            val skip =
-              if (newEntryTri) mtsNew > dm
-              else oldMtsOf(tid) < dm || mtsNew >= dm
-            if (!skip) {
-              kept += tid
-              if (dm > dPlus) dPlus = dm
-              if (mtsNew < dMinus) dMinus = mtsNew
-            }
+          val dm = math.max(table.span(a, k), math.max(table.span(b, k), table.span(c, k)))
+          val mtsNew = ts.mts(tid)
+          // Lemma 5 skip: an already-valid-below-δm or still-above-δm
+          // triangle changes nothing; for a triangle new to the k-world the
+          // equality case must be kept (its edges' span entries are only
+          // estimates that still need verification).
+          val skip =
+            if (newAbove(i) < k) mtsNew > dm
+            else oldMts(i) < dm || mtsNew >= dm
+          if (skip) skips += 1
+          else {
+            kept(nKept) = tid; nKept += 1
+            if (dm > dPlus) dPlus = dm
+            if (mtsNew < dMinus) dMinus = mtsNew
           }
         }
       }
-      if (kept.nonEmpty) {
+      if (nKept > 0) {
         verifiedKs += 1
-        val (region, changed) = verifyLevel(st, k, kept.toArray, dMinus, dPlus)
-        regionTotal += region
-        changedTotal += changed
-        if (changed > 0) changedLevels += k
+        changedAt(k) = verifyLevel(st, k, kept, nKept, dMinus, dPlus)
+        regionEdges += st.levelPeel.memberCount
+        regionTris += st.levelPeel.triangleCount
       }
       k -= 1
     }
-    (verifiedKs, regionTotal, changedTotal, changedLevels.toSet)
+    // a new static edge joins every row k ≤ trn(e0); entrants join theirs
+    InsertReport(newStaticEdge, verifiedKs, regionEdges, changedSpans = changedAt.sum,
+      changedLevels = (3 to kHigh).filter(k => newStaticEdge || changedAt(k) > 0).toSet,
+      candidateTris = tids.length, lemma5Skips = skips, regionTris = regionTris)
   }
 
   /** GAS (Algorithm 1) + the local [[LevelPeel]] verification for one k
     * level: the region's edges are the members, the local δ-triangle list is
-    * the peel's triangles, and `δ−` is its floor.
+    * the peel's triangles, and `δ−` is its floor. GAS starts from the first
+    * `nSeeds` of `seedTris`. Returns the number of changed k-spans.
     */
-  private def verifyLevel(st: DynamicState, k: Int, seedTris: Array[Int],
-                          dMinus: Int, dPlus: Int): (Int, Int) = {
+  private def verifyLevel(st: DynamicState, k: Int, seedTris: Array[Int], nSeeds: Int,
+                          dMinus: Int, dPlus: Int): Int = {
     val ts = st.ts
     val table = st.tableView
     val peel = st.levelPeel
@@ -219,7 +215,7 @@ object IndexMaintenance {
 
     // --- region BFS over the members as they are added ------------------
     peel.begin()
-    for (tid <- seedTris) { reach(ts.e1(tid)); reach(ts.e2(tid)); reach(ts.e3(tid)) }
+    for (i <- 0 until nSeeds) { val tid = seedTris(i); reach(ts.e1(tid)); reach(ts.e2(tid)); reach(ts.e3(tid)) }
     var next = 0
     while (next < peel.memberCount) {
       val incident = ts.byEdge(peel.member(next))
@@ -249,6 +245,6 @@ object IndexMaintenance {
       assert(nu <= old, s"k-span may only shrink on insertion: edge $e k=$k $old -> $nu")
       if (nu != old) { table.setSpan(e, k, nu); changed += 1 }
     }
-    (peel.memberCount, changed)
+    changed
   }
 }

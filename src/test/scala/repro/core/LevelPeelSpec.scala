@@ -1,0 +1,53 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.triangles.TriangleSet
+import repro.truss.TrussDecomposition
+
+/** The [[LevelPeel]] kernel alone, against the brute-force fixpoint and the
+  * MBA build.
+  */
+class LevelPeelSpec extends AnyFunSuite {
+
+  private val inputs: Seq[(String, TriangleSet)] =
+    (0 until 8).map(seed => s"random seed=$seed" -> TestGraphs.tris(TestGraphs.random(seed))) :+
+      ("planted 14-clique" -> TestGraphs.tris(TestGraphs.plantedCore._1))
+
+  /** The δ values worth checking: 0, every distinct mts and one above. */
+  private def deltas(ts: TriangleSet): Seq[Int] =
+    (0 +: (0 until ts.size).map(ts.mts) :+ (ts.deltaMax + 1)).distinct.sorted
+
+  for ((name, ts) <- inputs) {
+    test(s"$name: fixpoint(k) over the δ-triangles equals the brute-force (k, δ)-truss") {
+      val peel = new LevelPeel(ts)
+      val kMax = TrussDecomposition.trussness(ts).max
+      for (k <- 3 to kMax + 1; d <- deltas(ts)) {
+        peel.begin()
+        for (e <- 0 until ts.m) peel.addMember(e)
+        for (tid <- 0 until ts.size if ts.mts(tid) <= d) peel.addTriangle(tid)
+        val kept = Set.newBuilder[Int]
+        peel.fixpoint(k)(kept += _)
+        assert(kept.result() == TrussDecomposition.fixpointTruss(ts, k, ts.mts(_) <= d), s"k=$k δ=$d")
+      }
+    }
+
+    test(s"$name: run(k, 0) over the static k-truss equals row k of MBA") {
+      val table = MBA.build(ts)
+      val trn = table.trn
+      val peel = new LevelPeel(ts)
+      for (k <- 3 to table.kMax) {
+        peel.begin()
+        for (e <- 0 until ts.m if trn(e) >= k) peel.addMember(e)
+        for (tid <- 0 until ts.size if trn(ts.e1(tid)) >= k && trn(ts.e2(tid)) >= k && trn(ts.e3(tid)) >= k)
+          peel.addTriangle(tid)
+        peel.sortTriangles()
+        var settled = 0
+        peel.run(k, floor = 0) { (e, d) =>
+          assert(d == table.span(e, k), s"edge $e k=$k")
+          settled += 1
+        }
+        assert(settled == trn.count(_ >= k), s"k=$k: not every member settled")
+      }
+    }
+  }
+}

@@ -49,12 +49,19 @@ class MaintenanceStressSpec extends AnyFunSuite {
     val st = DynamicState.fromGraph(g, ts, MBA.build(ts))
     assert(st.tableView.kMax == 12)
     var maxVerified = 0
+    var maxRegionTris = 0
     for ((u, v, t) <- removed) {
       val r = IndexMaintenance.insert(st, u, v, t)
       maxVerified = math.max(maxVerified, r.verifiedKs)
+      maxRegionTris = math.max(maxRegionTris, r.regionTris)
+      // Lemma 5 sees each candidate at most once per level that the filter
+      // of k leaves, 3..trn(e0)
+      val levels = math.max(0, st.tableView.trn(st.edgeId(u, v)) - 2)
+      assert(r.lemma5Skips <= r.candidateTris * levels, s"insert ($u,$v,$t): $r")
       assert(st.snapshotTable == MBA.build(st.snapshotTriangles), s"diverged after insert ($u,$v,$t)")
     }
     assert(maxVerified >= 10, s"no reinsert verified 10 levels: at most $maxVerified")
+    assert(maxRegionTris > 0, "no reinsert peeled a local triangle")
   }
 
   test("locality: timestamp insertions verify only a bounded region") {

@@ -2,7 +2,7 @@ package repro.truss
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
-import repro.core.TestGraphs
+import repro.core.{LevelPeel, TestGraphs}
 import repro.tgraph.TemporalGraph
 import repro.triangles.DriverTriangles
 
@@ -26,16 +26,18 @@ class TrussInsertSpec extends AnyFunSuite {
     val trnReduced = TrussDecomposition.trussness(DriverTriangles.enumerate(reduced))
     val trn = java.util.Arrays.copyOf(trnReduced, full.m)
     trn(e0) = 2
-    val upgraded = TrussInsert.maintain(tsFull, trn, e0)
+    val upgraded = TrussInsert.maintain(tsFull, new LevelPeel(tsFull), trn, e0)
 
     val expected = TrussDecomposition.trussness(tsFull)
     assert(trn.toSeq == expected.toSeq,
       s"removed=${removed.u}-${removed.v} diff=${
         trn.indices.filter(i => trn(i) != expected(i))
           .map(i => s"$i:(${trn(i)} vs ${expected(i)})").take(5)}")
-    // upgraded set must be exactly the edges whose trussness changed
+    // the upgraded edges must be exactly the edges whose trussness changed,
+    // each reported once
     val changed = trnReduced.indices.filter(i => trnReduced(i) != expected(i)).toSet
-    assert(upgraded == changed, "reported upgrade set mismatch")
+    assert(upgraded.distinct.length == upgraded.length, s"duplicate upgrades: ${upgraded.toSeq}")
+    assert(upgraded.toSet == changed, "reported upgrade set mismatch")
   }
 
   for (seed <- 0 until 12) {
@@ -65,6 +67,12 @@ class TrussInsertSpec extends AnyFunSuite {
     }
   }
 
+  test("planted 14-clique: remove/re-insert its highest-truss edges") {
+    val g = TestGraphs.plantedCore._1
+    val trn = TrussDecomposition.trussness(DriverTriangles.enumerate(g))
+    for (i <- trn.indices.sortBy(-trn(_)).take(8)) roundTrip(g, i)
+  }
+
   test("stream insertion: build K6 edge by edge, trussness correct at every step") {
     val rnd = new Random(42)
     val allEdges = (for (u <- 0 until 6; v <- (u + 1) until 6) yield (u, v)).toArray
@@ -79,7 +87,7 @@ class TrussInsertSpec extends AnyFunSuite {
       val trn = java.util.Arrays.copyOf(
         TrussDecomposition.trussness(DriverTriangles.enumerate(before)), full.m)
       trn(full.m - 1) = 2
-      TrussInsert.maintain(tsF, trn, full.m - 1)
+      TrussInsert.maintain(tsF, new LevelPeel(tsF), trn, full.m - 1)
       assert(trn.toSeq == TrussDecomposition.trussness(tsF).toSeq, s"after inserting ($u,$v)")
     }
   }
