@@ -6,10 +6,9 @@ import repro.core.maintenance.{DynamicState, IndexMaintenance}
 import repro.tgraph.{GenConfig, GraphStats, TemporalGraph, TemporalGraphGen}
 import repro.triangles.{DriverTriangles, TriangleEnum, TriangleSet}
 
-/** Shared benchmark logic behind the `bench/` suites and the `jobs/`
-  * spark-submit entrypoints — one function per paper table / headline
-  * claim, each returning printable rows (see EXPERIMENTS.md for the
-  * paper-vs-measured record).
+/** Shared benchmark logic behind the `bench/` suites — one function per
+  * paper table / headline claim, each returning printable rows (see
+  * EXPERIMENTS.md for the paper-vs-measured record).
   */
 object Benchmarks {
 
@@ -162,8 +161,10 @@ object Benchmarks {
   /** The paper's protocol (§VII-D): remove `ops` random temporal edges,
     * re-insert them through Algorithm 2, and compare the per-insertion cost
     * against reconstruction from scratch with MBA. TC-IM = k-span
-    * maintenance + rebuilding only the touched I_k rows; DC-IM = k-span
-    * maintenance + IES-tree rebuild from the shared-row table view. Each
+    * maintenance (with the moves of the table's level orders) + copying
+    * only the touched I_k rows out of the table; DC-IM = k-span
+    * maintenance + a full IES-tree derivation from the live table's level
+    * orders. Each
     * index is compared against its own from-scratch baseline (δ-triangle
     * list + MBA + index build), as in Fig 16.
     */

@@ -80,7 +80,9 @@ final class DCIndex(
 object DCIndex {
 
   /** Build the reduced (k,δ)-truss arborescence + IES tree from the k-span
-    * table.
+    * table's level orders: the horizontal weights are the block sizes of
+    * each level's directory, and every IES is a slice, or a filtered
+    * suffix, of a level order. No pass over the table's edges.
     */
   def fromTable(t: KSpanTable): DCIndex = {
     val kMax = t.kMax
@@ -93,41 +95,36 @@ object DCIndex {
     val nD = dMax + 1          // cols δ = 0..dMax
     @inline def gid(k: Int, d: Int): Int = (k - 3) * nD + d
 
-    // cntAll(k,δ) = #edges with trn ≥ k, kspan(e,k) = δ  (horizontal weight)
-    val cntAll = Array.ofDim[Int](nK, nD)
-    var e = 0
-    while (e < t.m) {
-      var k = 3
-      while (k <= t.trn(e)) {
-        val d = t.span(e, k)
-        cntAll(k - 3)(d) += 1
-        k += 1
-      }
-      e += 1
-    }
-
     // --- arborescence and reduction in one pass --------------------------
     // k descending, δ ascending, so both possible parents, (k+1, δ) and
     // (k, δ−1), are resolved first. parentDir: 0 = vertical, 1 = horizontal,
     // -1 = root; the lighter outgoing edge is kept (ties keep horizontal).
     // rep(node) = self if kept, else rep(parent): a node whose kept edge
-    // has weight 0 is merged into its parent. The vertical weight
-    // |T_{k,δ}| − |T_{k+1,δ}| comes from running prefix sums over δ of the
-    // horizontal weights of rows k and k+1.
+    // has weight 0 is merged into its parent. The horizontal weight
+    // #{e : trn(e) ≥ k, kspan(e,k) = δ} is the size of row k's block of
+    // span δ, read by walking the directory from its smallest span up as δ
+    // ascends; the vertical weight |T_{k,δ}| − |T_{k+1,δ}| comes from
+    // running prefix sums over δ of the horizontal weights of rows k and k+1.
     val parentDir = new Array[Byte](nK * nD)
     val rep = new Array[Int](nK * nD)
     var k = kMax
     while (k >= 3) {
       val hasV = k < kMax
+      val row = t.level(k)
+      val up = if (hasV) t.level(k + 1) else null
+      var b = row.blocks - 1                  // next block of row k
+      var bUp = if (hasV) up.blocks - 1 else -1 // next block of row k+1
       var sizeK = 0L  // |T_{k,δ}|
       var sizeUp = 0L // |T_{k+1,δ}|
       var d = 0
       while (d <= dMax) {
-        sizeK += cntAll(k - 3)(d)
-        if (hasV) sizeUp += cntAll(k - 2)(d)
+        var h = 0L
+        if (b >= 0 && row.span(b) == d) { h = row.end(b) - row.start(b); b -= 1 }
+        sizeK += h
+        if (bUp >= 0 && up.span(bUp) == d) { sizeUp += up.end(bUp) - up.start(bUp); bUp -= 1 }
         val hasH = d >= 1
         val wV = if (hasV) sizeK - sizeUp else Long.MaxValue
-        val wH = if (hasH) cntAll(k - 3)(d).toLong else Long.MaxValue
+        val wH = if (hasH) h else Long.MaxValue
         val id = gid(k, d)
         if (!hasV && !hasH) { parentDir(id) = -1; rep(id) = id } // root is always kept
         else {
@@ -142,47 +139,25 @@ object DCIndex {
     }
 
     // --- materialize kept nodes with their IESes --------------------------
-    // CSR buckets: per k row one flat edge array ordered by k-span, with
-    // rowPtr(k)(δ..δ+1) delimiting the edges of k-span exactly δ
-    val rowPtr = Array.tabulate(nK) { ki2 =>
-      val p = new Array[Int](nD + 1)
-      var d = 0
-      while (d < nD) { p(d + 1) = p(d) + cntAll(ki2)(d); d += 1 }
-      p
-    }
-    val flatKD = Array.tabulate(nK)(ki2 => new Array[Int](rowPtr(ki2)(nD)))
-    val cursor = Array.tabulate(nK)(ki2 => rowPtr(ki2).clone())
-    e = 0
-    while (e < t.m) {
-      var k2 = 3
-      while (k2 <= t.trn(e)) {
-        val d = t.span(e, k2)
-        val cur = cursor(k2 - 3)
-        flatKD(k2 - 3)(cur(d)) = e; cur(d) += 1
-        k2 += 1
-      }
-      e += 1
-    }
-    /** Edges with trn ≥ k and kspan(e,k) = d, as a CSR slice copy. */
-    @inline def bucket(ki2: Int, d: Int): Array[Int] =
-      java.util.Arrays.copyOfRange(flatKD(ki2), rowPtr(ki2)(d), rowPtr(ki2)(d + 1))
     // k-span of e at level k+1, treating k = trn(e) as +∞ — k-spans are
     // nondecreasing in k, so e ∈ T_{k,δ} \ T_{k+1,δ} iff
     // kspan(e,k) ≤ δ < kspan(e,k+1)
     @inline def spanUp(e2: Int, k2: Int): Int =
       if (k2 >= t.trn(e2)) Int.MaxValue else t.span(e2, k2 + 1)
 
-    val nodeId = Array.fill(nK * nD)(-1)
-    val kept = scala.collection.mutable.ArrayBuffer.empty[Int]
+    val nodeId = new Array[Int](nK * nD)
+    val keptBuf = new scala.collection.mutable.ArrayBuilder.ofInt
+    var nKept = 0
     var id = 0
     while (id < nK * nD) {
-      if (rep(id) == id) { nodeId(id) = kept.length; kept += id }
+      if (rep(id) == id) { nodeId(id) = nKept; keptBuf += id; nKept += 1 }
       id += 1
     }
-    val nodes = new Array[DCNode](kept.length)
+    val kept = keptBuf.result()
+    val nodes = new Array[DCNode](nKept)
     var rootId = -1
     var ni = 0
-    while (ni < kept.length) {
+    while (ni < nKept) {
       val g = kept(ni)
       val nk = g / nD + 3
       val nd = g % nD
@@ -191,25 +166,25 @@ object DCIndex {
         if (dir == -1) {
           rootId = ni
           // root (kMax, 0): its full edge set
-          (-1, bucket(nk - 3, nd))
+          (-1, t.level(nk).spanEdges(nd))
         } else if (dir == 0) {
           // vertical parent (k+1, δ): IES = T_{k,δ} \ T_{k+1,δ}
-          //                               = {kspan(e,k) ≤ δ < kspan(e,k+1)}
+          //                               = {kspan(e,k) ≤ δ < kspan(e,k+1)},
+          // filtered from the suffix of E_k with kspan(e,k) ≤ δ
           val pid = nodeId(rep(gid(nk + 1, nd)))
-          val buf = scala.collection.mutable.ArrayBuilder.make[Int]
-          val flat = flatKD(nk - 3)
-          val hi = rowPtr(nk - 3)(nd + 1) // all edges with kspan(e,k) ≤ δ
-          var i2 = 0
-          while (i2 < hi) {
-            val e2 = flat(i2)
+          val row = t.level(nk)
+          val buf = new scala.collection.mutable.ArrayBuilder.ofInt
+          var p = row.firstAtMost(nd)
+          while (p < row.size) {
+            val e2 = row.edge(p)
             if (spanUp(e2, nk) > nd) buf += e2
-            i2 += 1
+            p += 1
           }
           (pid, buf.result())
         } else {
           // horizontal parent (k, δ−1): IES = {trn ≥ k, kspan = δ}
           val pid = nodeId(rep(gid(nk, nd - 1)))
-          (pid, bucket(nk - 3, nd))
+          (pid, t.level(nk).spanEdges(nd))
         }
       nodes(ni) = new DCNode(nk, nd, parent, ies)
       ni += 1
@@ -217,18 +192,19 @@ object DCIndex {
 
     // --- compressed per-row lookup table ---------------------------------
     val lookup = Array.tabulate(nK) { ki2 =>
-      val row = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
+      val row = Array.newBuilder[(Int, Int)]
+      var last = -1
       var d = 0
       while (d <= dMax) {
         val r = nodeId(rep(gid(ki2 + 3, d)))
-        // only record runs once T_{k,δ} is non-empty; empty prefixes return
-        // the empty set at query time by falling before the first run —
-        // unless the truss is empty for ALL δ, in which case the run still
-        // resolves to a node whose path union is empty.
-        if (row.isEmpty || row.last._2 != r) row += ((d, r))
+        // one run per maximal range of δ with the same representative; the
+        // first run starts at δ = 0 in every row, even where T_{k,δ} is
+        // still empty: its representative's path then unions to the empty
+        // set
+        if (r != last) { row += ((d, r)); last = r }
         d += 1
       }
-      row.toArray
+      row.result()
     }
 
     new DCIndex(nodes, rootId, lookup, t.m, dMax)

@@ -57,54 +57,28 @@ final class TCIndex(val rows: Array[TCRow], val m: Int, val deltaMax: Int) {
 
 object TCIndex {
 
-  /** Build one `I_k` row by counting sort over k-span (O(|E_k| + δmax)),
-    * then a scan to emit the `D_k` directory.
+  /** Copy level `k`'s order and directory out of the table, which keeps
+    * them sorted: `O(|E_k| + |D_k|)`.
     */
   def buildRow(t: KSpanTable, k: Int): TCRow = {
-    val cnt = new Array[Int](t.deltaMax + 2)
-    var e = 0
-    var members = 0
-    while (e < t.m) {
-      if (t.trn(e) >= k) { cnt(t.span(e, k)) += 1; members += 1 }
-      e += 1
-    }
-    // descending span: offsets from the top
-    val off = new Array[Int](t.deltaMax + 1)
-    var acc = 0
-    var d = t.deltaMax
-    while (d >= 0) { off(d) = acc; acc += cnt(d); d -= 1 }
-    val sorted = new Array[Int](members)
-    val fill = off.clone()
-    e = 0
-    while (e < t.m) {
-      if (t.trn(e) >= k) {
-        val s = t.span(e, k)
-        sorted(fill(s)) = e; fill(s) += 1
-      }
-      e += 1
-    }
-    val spansBuf = scala.collection.mutable.ArrayBuffer.empty[Int]
-    val offBuf = scala.collection.mutable.ArrayBuffer.empty[Int]
-    d = t.deltaMax
-    while (d >= 0) {
-      if (cnt(d) > 0) { spansBuf += d; offBuf += off(d) }
-      d -= 1
-    }
-    new TCRow(k, sorted, spansBuf.toArray, offBuf.toArray)
+    val lv = t.level(k)
+    new TCRow(k, lv.edges, lv.spans, lv.starts)
   }
 
   def fromTable(t: KSpanTable): TCIndex =
     new TCIndex((3 to t.kMax).map(buildRow(t, _)).toArray, t.m, t.deltaMax)
 
   /** Incremental structural update (the paper's "change the positions of the
-    * edges"): rebuild only the `I_k` rows of the levels an insertion
-    * touched, sharing every other row with the previous index.
+    * edges", which the table's level orders already did): copy only the
+    * `I_k` rows of the levels an insertion touched, and of levels above
+    * `prev.kMax`, sharing every other row with the previous index.
+    * `O(Σ_{changed k} |E_k| + |D_k|)`.
     */
   def refreshRows(prev: TCIndex, t: KSpanTable, levels: Iterable[Int]): TCIndex = {
-    if (t.kMax != prev.kMax || t.deltaMax != prev.deltaMax)
-      return fromTable(t) // hierarchy grew/shrank: full (still cheap) rebuild
-    val rows = prev.rows.clone()
-    for (k <- levels if k >= 3 && k <= t.kMax) rows(k - 3) = buildRow(t, k)
+    val changed = levels.toSet
+    val rows = Array.tabulate(t.kMax - 2) { i =>
+      if (i < prev.rows.length && !changed(i + 3)) prev.rows(i) else buildRow(t, i + 3)
+    }
     new TCIndex(rows, t.m, t.deltaMax)
   }
 }

@@ -21,7 +21,8 @@ import repro.triangles.{Mts, TriangleSet}
   *    [[addTimestamp]] lowers their mts in place;
   *  - `tableView` is the state's own copy of the [[KSpanTable]] it was
   *    seeded with, grown by [[addEdge]] and repaired in place by
-  *    [[IndexMaintenance]]. Index refreshes read this live table directly,
+  *    [[IndexMaintenance]]; its level orders move with every repair.
+  *    Index refreshes read this live table directly,
   *    without a copy, so it changes with every insertion; its `deltaMax`
   *    is an upper bound of the largest mts. [[snapshotTable]] is the
   *    independent, exact copy.

@@ -48,7 +48,7 @@ object IndexMaintenance {
       regionEdgesTotal: Int,
       changedSpans: Int,
       /** k levels whose I_k row membership or edge positions changed —
-        * exactly the rows an incremental TC-Index refresh must rebuild. */
+        * exactly the rows an incremental TC-Index refresh must copy. */
       changedLevels: Set[Int],
       /** triangles whose mts changed or that may enter a k-world */
       candidateTris: Int,
@@ -56,6 +56,19 @@ object IndexMaintenance {
       lemma5Skips: Int,
       /** local δ-triangles of the verified levels, summed */
       regionTris: Int,
+      /** nanoseconds per phase; moves of the table's level orders are
+        * counted in `orderMoveNs` alone, not in the phase that made them.
+        * Step 1, filter of k: [[TrussInsert]] and the Lemma-7 estimates
+        * of the new slots (0 for a timestamp insertion) */
+      trussInsertNs: Long,
+      /** step 2, the Lemma-5 filter of every level */
+      lemma5Ns: Long,
+      /** step 3, GAS of every verified level */
+      gasNs: Long,
+      /** step 4, the level peel of every verified level */
+      peelNs: Long,
+      /** the level-order moves of the table's changed and new entries */
+      orderMoveNs: Long,
   )
 
   /** Insert temporal edge `(u, v, t)` and restore the full k-span state.
@@ -69,14 +82,16 @@ object IndexMaintenance {
     require(st.admits(t), s"timestamp $t widens the time range past Int.MaxValue; time spans would overflow")
     val (u, v) = if (uRaw < vRaw) (uRaw, vRaw) else (vRaw, uRaw)
     val table = st.tableView
+    val moves0 = table.orderMoveNanos
     val existing = st.edgeId(u, v)
     if (existing >= 0) {
       val (tids, oldMts) = st.addTimestamp(existing, t)
-      maintainSpans(st, newStaticEdge = false, kHigh = table.trn(existing), tids, oldMts, table.trn(_))
+      maintainSpans(st, newStaticEdge = false, kHigh = table.trn(existing), tids, oldMts, table.trn(_), 0L, moves0)
     } else {
       val (e0, newTris) = st.addEdge(u, v, t)
 
       // --- static trussness maintenance (filter of k) --------------------
+      val t0 = System.nanoTime()
       val upgraded = TrussInsert.maintain(st.ts, st.levelPeel, table.trn, e0)
       val kHigh = table.trn(e0)
       java.util.Arrays.sort(upgraded)
@@ -87,6 +102,7 @@ object IndexMaintenance {
         else table.trn(e)
 
       for (k <- 3 to kHigh) estimateSpans(st, k, e0 +: upgraded.filter(table.trn(_) == k), oldTrn(_) < k)
+      val trussInsertNs = System.nanoTime() - t0 - (table.orderMoveNanos - moves0)
 
       // candidate triangles: the new ones through e0 (entering every
       // k-world), plus pre-existing triangles that may enter the k-world of
@@ -96,7 +112,7 @@ object IndexMaintenance {
       for (tid <- newTris) cand.set(tid)
       for (e <- upgraded; tid <- st.ts.byEdge(e)) cand.set(tid)
       val tids = cand.stream.toArray
-      maintainSpans(st, newStaticEdge = true, kHigh, tids, tids.map(st.ts.mts), oldTrn)
+      maintainSpans(st, newStaticEdge = true, kHigh, tids, tids.map(st.ts.mts), oldTrn, trussInsertNs, moves0)
     }
   }
 
@@ -137,7 +153,9 @@ object IndexMaintenance {
 
   /** Steps 2–4 for every k from `kHigh` down to 3. Candidate `tids(i)` had
     * mts `oldMts(i)` before the insertion, and is new to the k-world of
-    * every k above the smallest old trussness `oldTrn` of its edges.
+    * every k above the smallest old trussness `oldTrn` of its edges. Step 1
+    * took `trussInsertNs`, and the table's move clock read `moves0` before
+    * it.
     */
   private def maintainSpans(
       st: DynamicState,
@@ -146,9 +164,14 @@ object IndexMaintenance {
       tids: Array[Int],
       oldMts: Array[Int],
       oldTrn: Int => Int,
+      trussInsertNs: Long,
+      moves0: Long,
   ): InsertReport = {
     val ts = st.ts
     val table = st.tableView
+    var lemma5Ns = 0L
+    var gasNs = 0L
+    var peelNs = 0L
     val newAbove = tids.map(tid => math.min(oldTrn(ts.e1(tid)), math.min(oldTrn(ts.e2(tid)), oldTrn(ts.e3(tid)))))
     val kept = new Array[Int](tids.length)
     val changedAt = new Array[Int](kHigh + 1)
@@ -159,6 +182,7 @@ object IndexMaintenance {
     var k = kHigh
     while (k >= 3) {
       // --- filter of k-span (Lemma 5) ----------------------------------
+      val t0 = System.nanoTime()
       var nKept = 0
       var dPlus = -1
       var dMinus = Int.MaxValue
@@ -183,9 +207,16 @@ object IndexMaintenance {
           }
         }
       }
+      val t1 = System.nanoTime()
+      lemma5Ns += t1 - t0
       if (nKept > 0) {
         verifiedKs += 1
-        changedAt(k) = verifyLevel(st, k, kept, nKept, dMinus, dPlus)
+        gas(st, k, kept, nKept, dMinus, dPlus)
+        val t2 = System.nanoTime()
+        gasNs += t2 - t1
+        val moves = table.orderMoveNanos
+        changedAt(k) = peelLevel(st, k, dMinus)
+        peelNs += System.nanoTime() - t2 - (table.orderMoveNanos - moves)
         regionEdges += st.levelPeel.memberCount
         regionTris += st.levelPeel.triangleCount
       }
@@ -194,16 +225,17 @@ object IndexMaintenance {
     // a new static edge joins every row k ≤ trn(e0); entrants join theirs
     InsertReport(newStaticEdge, verifiedKs, regionEdges, changedSpans = changedAt.sum,
       changedLevels = (3 to kHigh).filter(k => newStaticEdge || changedAt(k) > 0).toSet,
-      candidateTris = tids.length, lemma5Skips = skips, regionTris = regionTris)
+      candidateTris = tids.length, lemma5Skips = skips, regionTris = regionTris,
+      trussInsertNs = trussInsertNs, lemma5Ns = lemma5Ns, gasNs = gasNs, peelNs = peelNs,
+      orderMoveNs = table.orderMoveNanos - moves0)
   }
 
-  /** GAS (Algorithm 1) + the local [[LevelPeel]] verification for one k
-    * level: the region's edges are the members, the local δ-triangle list is
-    * the peel's triangles, and `δ−` is its floor. GAS starts from the first
-    * `nSeeds` of `seedTris`. Returns the number of changed k-spans.
+  /** GAS (Algorithm 1) for one k level: marks the region's edges as the
+    * members of the state's [[LevelPeel]] and the local δ-triangle list as
+    * its triangles, starting from the first `nSeeds` of `seedTris`.
     */
-  private def verifyLevel(st: DynamicState, k: Int, seedTris: Array[Int], nSeeds: Int,
-                          dMinus: Int, dPlus: Int): Int = {
+  private def gas(st: DynamicState, k: Int, seedTris: Array[Int], nSeeds: Int,
+                  dMinus: Int, dPlus: Int): Unit = {
     val ts = st.ts
     val table = st.tableView
     val peel = st.levelPeel
@@ -235,7 +267,14 @@ object IndexMaintenance {
         ti += 1
       }
     }
+  }
 
+  /** The local [[LevelPeel]] verification of the region [[gas]] marked,
+    * with `δ−` as its floor. Returns the number of changed k-spans.
+    */
+  private def peelLevel(st: DynamicState, k: Int, dMinus: Int): Int = {
+    val table = st.tableView
+    val peel = st.levelPeel
     // --- local peel from δ+ down to δ− ----------------------------------
     // every local triangle has mts ≤ rank ≤ δ+, so all start valid
     peel.sortTriangles()

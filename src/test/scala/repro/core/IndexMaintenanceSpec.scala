@@ -66,8 +66,10 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     * DC-Index built from the live table view with its loose `deltaMax`.
     * The live view's `kMax` equals the snapshot's and its `deltaMax` bounds
     * the snapshot's. A snapshot, and its MBA rebuild, stay equal after the
-    * next insertion. The graph, triangle set and table the state was
-    * seeded from stay untouched.
+    * next insertion. The live table's level orders, the refreshed TC and
+    * DC over the live table equal those built fresh from the snapshot
+    * ([[Canonical.assertFresh]]). The graph, triangle set and table the
+    * state was seeded from stay untouched.
     */
   private def replay(seed: Int, g: TemporalGraph, n: Int): Unit = {
     val rnd = new Random(seed)
@@ -97,6 +99,10 @@ class IndexMaintenanceSpec extends AnyFunSuite {
       // the reported changed levels must be sufficient for an incremental
       // TC refresh to coincide with a full index rebuild
       tc = TCIndex.refreshRows(tc, st.tableView, report.changedLevels)
+      Canonical.assertFresh(st, tc, s"seed=$seed after ($u,$v,$t)")
+      assert(Seq(report.trussInsertNs, report.lemma5Ns, report.gasNs, report.peelNs, report.orderMoveNs).forall(_ >= 0),
+        s"seed=$seed: negative phase time after ($u,$v,$t): $report")
+      assert(report.newStaticEdge || report.trussInsertNs == 0, s"seed=$seed: TrussInsert timed on a timestamp insertion")
       val full = TCIndex.fromTable(st.tableView)
       val exact = TCIndex.fromTable(st.snapshotTable)
       val dc = DCIndex.fromTable(st.tableView)

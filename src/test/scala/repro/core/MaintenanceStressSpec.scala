@@ -18,22 +18,26 @@ class MaintenanceStressSpec extends AnyFunSuite {
       val st = DynamicState.fromGraph(g, ts, MBA.build(ts))
       val rnd = new Random(seed)
       val all = g.edges.flatMap(e => e.ts.map(t => (e.u, e.v, t)))
-      for (_ <- 0 until 20) {
+      var tc = TCIndex.fromTable(st.tableView)
+      for (i <- 0 until 20) {
         val pick = rnd.nextInt(3)
-        if (pick == 0) {
-          // fresh timestamp on a random existing edge
-          val e = rnd.nextInt(st.m)
-          IndexMaintenance.insert(st, st.edges(e).u, st.edges(e).v, rnd.nextInt(60))
-        } else if (pick == 1) {
-          // new edge between random vertices (may collide -> timestamp case)
-          val u = rnd.nextInt(20); var v = rnd.nextInt(20)
-          if (u == v) v = (v + 1) % 20
-          IndexMaintenance.insert(st, u, v, rnd.nextInt(60))
-        } else {
-          // duplicate of an original interaction
-          val (u, v, t) = all(rnd.nextInt(all.length))
-          IndexMaintenance.insert(st, u, v, t)
-        }
+        val r =
+          if (pick == 0) {
+            // fresh timestamp on a random existing edge
+            val e = rnd.nextInt(st.m)
+            IndexMaintenance.insert(st, st.edges(e).u, st.edges(e).v, rnd.nextInt(60))
+          } else if (pick == 1) {
+            // new edge between random vertices (may collide -> timestamp case)
+            val u = rnd.nextInt(20); var v = rnd.nextInt(20)
+            if (u == v) v = (v + 1) % 20
+            IndexMaintenance.insert(st, u, v, rnd.nextInt(60))
+          } else {
+            // duplicate of an original interaction
+            val (u, v, t) = all(rnd.nextInt(all.length))
+            IndexMaintenance.insert(st, u, v, t)
+          }
+        tc = TCIndex.refreshRows(tc, st.tableView, r.changedLevels)
+        Canonical.assertFresh(st, tc, s"stress seed=$seed insert $i")
         val rebuilt = MBA.build(st.snapshotTriangles)
         val got = st.snapshotTable
         assert(got.trn.toSeq == rebuilt.trn.toSeq, "trussness diverged")
@@ -50,8 +54,11 @@ class MaintenanceStressSpec extends AnyFunSuite {
     assert(st.tableView.kMax == 12)
     var maxVerified = 0
     var maxRegionTris = 0
+    var tc = TCIndex.fromTable(st.tableView)
     for ((u, v, t) <- removed) {
       val r = IndexMaintenance.insert(st, u, v, t)
+      tc = TCIndex.refreshRows(tc, st.tableView, r.changedLevels)
+      Canonical.assertFresh(st, tc, s"planted clique insert ($u,$v,$t)")
       maxVerified = math.max(maxVerified, r.verifiedKs)
       maxRegionTris = math.max(maxRegionTris, r.regionTris)
       // Lemma 5 sees each candidate at most once per level that the filter
