@@ -29,12 +29,14 @@ final class DCNode(val k: Int, val delta: Int, val parent: Int, val ies: Array[I
 final class DCIndex(
     val nodes: Array[DCNode],
     val rootId: Int,
-    // lookup(k−3) = ascending (deltaStart, nodeId) runs; binary search on δ
-    val lookup: Array[Array[(Int, Int)]],
+    // row k−3 of the lookup: the runs' ascending δ starts and, at the same
+    // positions, their representative node ids; binary search on δ
+    val runStarts: Array[Array[Int]],
+    val runNodes: Array[Array[Int]],
     val m: Int,
     val deltaMax: Int,
 ) {
-  def kMax: Int = lookup.length + 2
+  def kMax: Int = runStarts.length + 2
 
   /** Edge ids of `T_{k,δ}`: resolve the representative node, then union the
     * IESes on the path to the root (disjoint by construction).
@@ -42,21 +44,18 @@ final class DCIndex(
   def query(k: Int, delta: Int): Array[Int] = {
     if (k <= 2) return Array.range(0, m)
     if (k > kMax) return Array.emptyIntArray
-    val row = lookup(k - 3)
-    // largest deltaStart <= delta
-    var lo = 0; var hi = row.length - 1; var found = -1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      if (row(mid)._1 <= delta) { found = mid; lo = mid + 1 } else hi = mid - 1
-    }
+    // the run with the largest start <= delta (starts are distinct)
+    val i = java.util.Arrays.binarySearch(runStarts(k - 3), delta)
+    val found = if (i >= 0) i else -i - 2
     if (found < 0) return Array.emptyIntArray
+    val node = runNodes(k - 3)(found)
     // two passes: size the result exactly, then bulk-copy the path IESes
     var total = 0
-    var cur = row(found)._2
+    var cur = node
     while (cur >= 0) { total += nodes(cur).ies.length; cur = nodes(cur).parent }
     val out = new Array[Int](total)
     var off = 0
-    cur = row(found)._2
+    cur = node
     while (cur >= 0) {
       val a = nodes(cur).ies
       System.arraycopy(a, 0, out, off, a.length)
@@ -74,7 +73,7 @@ final class DCIndex(
     */
   def approxBytes: Long =
     totalEdgeEntries * 8L + nodes.length * 16L +
-      lookup.iterator.map(_.length.toLong).sum * 8L
+      runStarts.iterator.map(_.length.toLong).sum * 8L
 }
 
 object DCIndex {
@@ -89,7 +88,7 @@ object DCIndex {
     val dMax = t.deltaMax
     if (kMax < 3)
       return new DCIndex(Array(new DCNode(3, 0, -1, Array.emptyIntArray)), 0,
-        Array.empty, t.m, dMax)
+        Array.empty, Array.empty, t.m, dMax)
 
     val nK = kMax - 2          // rows k = 3..kMax
     val nD = dMax + 1          // cols δ = 0..dMax
@@ -191,22 +190,28 @@ object DCIndex {
     }
 
     // --- compressed per-row lookup table ---------------------------------
-    val lookup = Array.tabulate(nK) { ki2 =>
-      val row = Array.newBuilder[(Int, Int)]
+    val runStarts = new Array[Array[Int]](nK)
+    val runNodes = new Array[Array[Int]](nK)
+    var ki = 0
+    while (ki < nK) {
+      val starts = new scala.collection.mutable.ArrayBuilder.ofInt
+      val reps = new scala.collection.mutable.ArrayBuilder.ofInt
       var last = -1
       var d = 0
       while (d <= dMax) {
-        val r = nodeId(rep(gid(ki2 + 3, d)))
+        val r = nodeId(rep(gid(ki + 3, d)))
         // one run per maximal range of δ with the same representative; the
         // first run starts at δ = 0 in every row, even where T_{k,δ} is
         // still empty: its representative's path then unions to the empty
         // set
-        if (r != last) { row += ((d, r)); last = r }
+        if (r != last) { starts += d; reps += r; last = r }
         d += 1
       }
-      row.result()
+      runStarts(ki) = starts.result()
+      runNodes(ki) = reps.result()
+      ki += 1
     }
 
-    new DCIndex(nodes, rootId, lookup, t.m, dMax)
+    new DCIndex(nodes, rootId, runStarts, runNodes, t.m, dMax)
   }
 }

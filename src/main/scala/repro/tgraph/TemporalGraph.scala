@@ -181,12 +181,4 @@ object TemporalGraph {
     val rows = g.edges.iterator.flatMap(e => e.ts.iterator.map(t => (e.u, e.v, t))).toSeq
     rows.toDF("src", "dst", "t")
   }
-
-  /** Grouped DataFrame `(src, dst, ts: array<int>)` with sorted timestamp
-    * arrays — the canonical input of the Spark triangle enumerator.
-    */
-  def toGroupedDF(spark: SparkSession, g: TemporalGraph): DataFrame = {
-    import spark.implicits._
-    g.edges.toSeq.map(e => (e.u, e.v, e.ts.toSeq)).toDF("src", "dst", "ts")
-  }
 }

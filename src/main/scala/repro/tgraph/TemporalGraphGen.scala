@@ -47,8 +47,9 @@ final case class GenConfig(
 object TemporalGraphGen {
 
   /** Generate the temporal graph of `cfg` (driver-side; sizes here are
-    * ≤ ~500K temporal edges, far below Spark-needing scale — Spark consumes
-    * the result as a DataFrame via [[TemporalGraph.toGroupedDF]]).
+    * ≤ ~500K temporal edges, far below Spark-needing scale — Spark
+    * enumerates its triangles from a broadcast copy of the driver-side
+    * graph, `repro.triangles.TriangleEnum.triangleSet`).
     */
   def generate(cfg: GenConfig): TemporalGraph = {
     val rnd = new Random(cfg.seed)

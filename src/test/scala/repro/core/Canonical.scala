@@ -34,7 +34,7 @@ object Canonical {
       cell(i) -> ((if (n.parent < 0) None else Some(cell(n.parent))), n.ies.toSet)
     }.toMap
     assert(nodes.size == idx.nodes.length, "two kept nodes share a (k, δ) cell")
-    (idx.m, nodes, cell(idx.rootId), idx.lookup.toSeq.map(_.toSeq.map { case (d, i) => (d, cell(i)) }))
+    (idx.m, nodes, cell(idx.rootId), idx.runStarts.indices.map(r => idx.runStarts(r).toSeq.zip(idx.runNodes(r).map(cell))))
   }
 
   /** After an insertion: every level order of the live table equals a

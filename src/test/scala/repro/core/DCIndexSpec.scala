@@ -81,9 +81,9 @@ class DCIndexSpec extends AnyFunSuite {
 
   test("lookup rows are strictly increasing in δ and start at 0") {
     val (_, _, idx) = build(11)
-    for (row <- idx.lookup) {
-      assert(row.head._1 == 0)
-      assert(row.map(_._1).toSeq == row.map(_._1).toSeq.sorted.distinct)
+    for (starts <- idx.runStarts) {
+      assert(starts.head == 0)
+      assert(starts.toSeq == starts.toSeq.sorted.distinct)
     }
   }
 

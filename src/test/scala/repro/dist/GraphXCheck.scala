@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.tgraph.TemporalGraph
 
 /** GraphX-based triangle counting, used as an independent validation path
-  * for the Catalyst triangle enumerator (the repro hint's GraphX leg):
+  * for the triangle enumerator (the repro hint's GraphX leg):
   * `Σ_v tc(v) / 3` must equal `|Δ|`.
   */
 object GraphXCheck {

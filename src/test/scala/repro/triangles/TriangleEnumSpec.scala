@@ -1,6 +1,6 @@
 package repro.triangles
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.core.TestGraphs
 import repro.dist.GraphXCheck
@@ -10,28 +10,44 @@ import repro.tgraph.{TemporalGraph, TemporalGraphGen}
   * DuckDB SQL oracle, and GraphX triangle counting.
   */
 class TriangleEnumSpec extends SparkSpec {
+  import spark.implicits._
 
-  private def sparkTris(g: TemporalGraph): Set[(Int, Int, Int, Int)] =
-    TriangleEnum.triangles(TemporalGraph.toGroupedDF(spark, g))
-      .collect().map(r => (r.getInt(0), r.getInt(1), r.getInt(2), r.getInt(3))).toSet
-
-  /** A triangle list keyed by edge ids, as vertex triples `a < b < c`. */
-  private def vertexTris(g: TemporalGraph, ts: TriangleSet): Set[(Int, Int, Int, Int)] =
-    ts.tris.map { t =>
+  /** A triangle list keyed by edge ids, as vertex triples `a < b < c`
+    * with their mts, in a DataFrame `(a, b, c, mts)`.
+    */
+  private def vertexTris(g: TemporalGraph, ts: TriangleSet): DataFrame =
+    ts.tris.toSeq.map { t =>
       val vs = Array(t.e1, t.e2, t.e3).flatMap(e => Array(g.edges(e).u, g.edges(e).v))
         .distinct.sorted
       (vs(0), vs(1), vs(2), t.mts)
-    }.toSet
+    }.toDF("a", "b", "c", "mts")
+
+  /** Every triangle `a < b < c` of the exploded temporal edges `te` with
+    * its mts: the smallest window over one interaction of each pair.
+    */
+  private val mtsSql =
+    """SELECT e1.src AS a, e1.dst AS b, e2.dst AS c,
+      |       min(greatest(CAST(e1.t AS INT), CAST(e2.t AS INT), CAST(e3.t AS INT)) -
+      |           least(CAST(e1.t AS INT), CAST(e2.t AS INT), CAST(e3.t AS INT))) AS mts
+      |FROM te e1
+      |JOIN te e2 ON e1.dst = e2.src
+      |JOIN te e3 ON e1.src = e3.src AND e2.dst = e3.dst
+      |GROUP BY e1.src, e1.dst, e2.dst
+      |""".stripMargin
+
+  /** The job's triangles, as vertex triples with mts, equal DuckDB's. */
+  private def assertMatchesDuckDB(g: TemporalGraph, viaJob: TriangleSet): Unit =
+    Oracle.assertEquivalent(vertexTris(g, viaJob), mtsSql, "te" -> TemporalGraph.toDF(spark, g))
 
   /** The broadcast job equals the driver kernel tuple for tuple, in order,
-    * and both equal the relational self-join.
+    * and the DuckDB SQL oracle as vertex triples with mts.
     */
   private def assertPathsAgree(g: TemporalGraph): Unit = {
     val viaJob = TriangleEnum.triangleSet(spark, g)
     val viaDriver = DriverTriangles.enumerate(g)
     assert(viaJob.m == g.m)
     assert(viaJob.tris.toSeq == viaDriver.tris.toSeq)
-    assert(sparkTris(g) == vertexTris(g, viaDriver))
+    assertMatchesDuckDB(g, viaJob)
   }
 
   for (seed <- 0 until 6) {
@@ -58,32 +74,18 @@ class TriangleEnumSpec extends SparkSpec {
 
   test("oracle: triangle-with-mts result matches DuckDB SQL over exploded temporal edges") {
     val g = TestGraphs.random(11, nV = 12, pEdge = 0.4)
-    val te = TemporalGraph.toDF(spark, g)
-    val edges = TemporalGraph.toGroupedDF(spark, g)
-    val sparkDf = TriangleEnum.triangles(edges)
-      .select(col("a"), col("b"), col("c"), col("mts"))
-    val sql =
-      """SELECT e1.src AS a, e1.dst AS b, e2.dst AS c,
-        |       min(greatest(CAST(e1.t AS INT), CAST(e2.t AS INT), CAST(e3.t AS INT)) -
-        |           least(CAST(e1.t AS INT), CAST(e2.t AS INT), CAST(e3.t AS INT))) AS mts
-        |FROM te e1
-        |JOIN te e2 ON e1.dst = e2.src
-        |JOIN te e3 ON e1.src = e3.src AND e2.dst = e3.dst
-        |GROUP BY e1.src, e1.dst, e2.dst
-        |""".stripMargin
-    Oracle.assertEquivalent(sparkDf, sql, "te" -> te)
+    assertMatchesDuckDB(g, TriangleEnum.triangleSet(spark, g))
   }
 
   test("oracle: static triangle count matches DuckDB") {
     val g = TestGraphs.random(12, nV = 14, pEdge = 0.45)
-    val edges = TemporalGraph.toGroupedDF(spark, g)
-    val sparkDf = TriangleEnum.triangles(edges).agg(count(lit(1)).as("tri_cnt"))
+    val sparkDf = Seq(TriangleEnum.triangleSet(spark, g).size.toLong).toDF("tri_cnt")
     val sql =
       """SELECT count(*) AS tri_cnt
         |FROM e e1 JOIN e e2 ON e1.dst = e2.src
         |JOIN e e3 ON e1.src = e3.src AND e2.dst = e3.dst""".stripMargin
     Oracle.assertEquivalent(sparkDf, sql,
-      "e" -> edges.select(col("src"), col("dst")))
+      "e" -> g.edges.toSeq.map(e => (e.u, e.v)).toDF("src", "dst"))
   }
 
   for (seed <- Seq(3, 7)) {
@@ -92,12 +94,6 @@ class TriangleEnumSpec extends SparkSpec {
       val expect = DriverTriangles.enumerate(g).size.toLong
       assert(GraphXCheck.totalTriangles(spark, g) == expect)
     }
-  }
-
-  test("mts histogram covers every triangle exactly once") {
-    val g = TestGraphs.random(21, nV = 16, pEdge = 0.4)
-    val hist = TriangleEnum.mtsHistogram(TemporalGraph.toGroupedDF(spark, g)).collect()
-    assert(hist.map(_.getLong(1)).sum == DriverTriangles.enumerate(g).size)
   }
 
   test("generator analog graph: spark triangle set builds a consistent TriangleSet") {
