@@ -5,8 +5,9 @@ package repro.core
   * that the (k, δ)-truss contains `e`.
   *
   * Membership test: `e ∈ T_{k,δ}` iff `k ≤ 2` (the (2,δ)-truss is the whole
-  * graph) or `trn(e) ≥ k ∧ kspan(e,k) ≤ δ`. TC-Index and DC-Index are two
-  * losslessly-compressed serializations of this table.
+  * graph) or `trn(e) ≥ k ∧ kspan(e,k) ≤ δ`. TC-Index is a read-only view
+  * of this table's level orders, and DC-Index a lossless compression
+  * derived from them.
   *
   * The one k-span store of the static build and of §VI maintenance: MBA and
   * DBA fill a table from [[KSpanTable.allocate]], and the maintenance state
@@ -70,8 +71,8 @@ final class KSpanTable private (
   def inTruss(e: Int, k: Int, delta: Int): Boolean =
     k <= 2 || (trn(e) >= k && span(e, k) <= delta)
 
-  /** Edge set of `T_{k,δ}` straight from the table (reference for tests and
-    * the source both index builders consume). Sorted ascending.
+  /** Edge set of `T_{k,δ}` by a scan of every row, `O(m)`: the reference
+    * that tests hold the index queries to. Sorted ascending.
     */
   def trussEdges(k: Int, delta: Int): Array[Int] =
     (0 until m).filter(e => inTruss(e, k, delta)).toArray
@@ -94,9 +95,17 @@ final class KSpanTable private (
     sum
   }
 
+  /** This table, with its level orders sorted if no read has sorted them
+    * yet.
+    */
+  private[repro] def sortedLevels(): KSpanTable = {
+    if (levels == null) sortLevels()
+    this
+  }
+
   /** The TC order of level `3 ≤ k ≤ kMax`, sorted on the first call. */
   private[repro] def level(k: Int): Level = {
-    if (levels == null) sortLevels()
+    sortedLevels()
     levels(k - 3)
   }
 
@@ -238,16 +247,14 @@ final class KSpanTable private (
     def start(b: Int): Int = offs(b)
     def end(b: Int): Int = if (b + 1 < nb) offs(b + 1) else n
 
-    /** Copies of `E_k` and of the directory's two columns. */
-    def edges: Array[Int] = java.util.Arrays.copyOf(es, n)
-    def spans: Array[Int] = java.util.Arrays.copyOf(keys, nb)
-    def starts: Array[Int] = java.util.Arrays.copyOf(offs, nb)
-
     /** A copy of the edges of span exactly `d`. */
     def spanEdges(d: Int): Array[Int] = {
       val b = block(d)
       if (b < 0) Array.emptyIntArray else java.util.Arrays.copyOfRange(es, offs(b), end(b))
     }
+
+    /** A copy of the suffix of `E_k` whose spans are ≤ `d`. */
+    def atMost(d: Int): Array[Int] = java.util.Arrays.copyOfRange(es, firstAtMost(d), n)
 
     /** The position of the first edge of span ≤ `d`, or `size` if none. */
     def firstAtMost(d: Int): Int = {

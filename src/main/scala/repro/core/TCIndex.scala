@@ -1,84 +1,65 @@
 package repro.core
 
-/** One map structure `I_k = (E_k, D_k)` of TC-Index (§IV-A): the edges of
-  * the static k-truss in descending k-span order, plus the directory of
-  * unique k-spans with the offset of the first edge carrying each.
+/** Temporal Containment Index (§IV-A): a read-only view of the level orders
+  * of a [[KSpanTable]]. Row `I_k = (E_k, D_k)` for `3 ≤ k ≤ kmax` is the
+  * table's [[KSpanTable#Level]] k, read in place (`k ≤ 2` is the whole graph
+  * and is not stored). The view holds no edge or directory array of its
+  * own: it answers from the table as the table stands at the call, so a TC
+  * over a table that §VI maintenance repairs is current after every
+  * insertion, and `m`, `kMax` and `deltaMax` follow the table.
+  *
+  * Size `O(kmax · |E| + Σ_k |D_k|)`, within Theorem 1's
+  * `O(kmax · (|E| + δmax))`: each `D_k` holds one key per distinct span of
+  * its level, never `δmax + 1`. A query costs `O(log |D_k| + |T_{k,δ}|)`
+  * (Theorem 2).
   */
-final class TCRow(
-    val k: Int,
-    val edges: Array[Int],   // E_k: edge ids, descending k-span
-    val spans: Array[Int],   // D_k keys: unique k-spans, descending
-    val offsets: Array[Int], // D_k values: offset of first edge with spans(i)
-) {
-  /** Suffix of `E_k` whose k-span ≤ δ — the edge set of `T_{k,δ}`.
-    * Binary search over `D_k` then a single scan: `O(log δmax + |T_{k,δ}|)`
-    * (Theorem 2).
+final class TCIndex private (table: KSpanTable) {
+  def m: Int = table.m
+  def kMax: Int = table.kMax
+  def deltaMax: Int = table.deltaMax
+
+  /** Row `I_k`, `3 ≤ k ≤ kMax`: the table's level order, not a copy. */
+  private[repro] def row(k: Int): KSpanTable#Level = table.level(k)
+
+  /** Edge ids of `T_{k,δ}` (ascending order not guaranteed): one binary
+    * search of `D_k`, then one copy of the suffix of `E_k`.
     */
-  def query(delta: Int): Array[Int] = {
-    // smallest index with spans(i) <= delta (spans descending)
-    var lo = 0; var hi = spans.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (spans(mid) <= delta) hi = mid else lo = mid + 1
-    }
-    if (lo == spans.length) Array.emptyIntArray
-    else java.util.Arrays.copyOfRange(edges, offsets(lo), edges.length)
-  }
-}
-
-/** Temporal Containment Index (§IV-A): one [[TCRow]] per `3 ≤ k ≤ kmax`
-  * (`k ≤ 2` is the whole graph and is not stored). Size
-  * `O(kmax · (|E| + δmax))` (Theorem 1).
-  */
-final class TCIndex(val rows: Array[TCRow], val m: Int, val deltaMax: Int) {
-  def kMax: Int = rows.length + 2
-
-  /** Edge ids of `T_{k,δ}` (ascending order not guaranteed). */
   def query(k: Int, delta: Int): Array[Int] =
     if (k <= 2) Array.range(0, m)
     else if (k > kMax) Array.emptyIntArray
-    else rows(k - 3).query(delta)
+    else row(k).atMost(delta)
+
+  private def rows: Iterator[KSpanTable#Level] = (3 to kMax).iterator.map(row)
 
   /** Total number of edge entries `Σ_k |E_k|` (Table II "total edge #"). */
-  def totalEdgeEntries: Long = rows.iterator.map(_.edges.length.toLong).sum
+  def totalEdgeEntries: Long = rows.map(_.size.toLong).sum
+
+  private def directoryEntries: Long = rows.map(_.blocks.toLong).sum
 
   /** Mean number of directory entries (unique k-spans) per `D_k`
     * (Table II "avg. entry (k-span) #").
     */
   def avgEntryCount: Double =
-    if (rows.isEmpty) 0.0 else rows.iterator.map(_.spans.length.toLong).sum.toDouble / rows.length
+    if (kMax < 3) 0.0 else directoryEntries.toDouble / (kMax - 2)
 
   /** Approximate serialized size in bytes: 8 per edge entry (two int
     * endpoints) + 8 per directory entry (span, offset).
     */
-  def approxBytes: Long =
-    totalEdgeEntries * 8L + rows.iterator.map(_.spans.length.toLong).sum * 8L
+  def approxBytes: Long = totalEdgeEntries * 8L + directoryEntries * 8L
 }
 
 object TCIndex {
 
-  /** Copy level `k`'s order and directory out of the table, which keeps
-    * them sorted: `O(|E_k| + |D_k|)`.
+  /** A view of `t`'s level orders, which are sorted here if no read has
+    * sorted them yet, `O(Σ_e trn(e) + δmax)`; a later call on the same table
+    * costs `O(1)`.
     */
-  def buildRow(t: KSpanTable, k: Int): TCRow = {
-    val lv = t.level(k)
-    new TCRow(k, lv.edges, lv.spans, lv.starts)
-  }
+  def fromTable(t: KSpanTable): TCIndex = new TCIndex(t.sortedLevels())
 
-  def fromTable(t: KSpanTable): TCIndex =
-    new TCIndex((3 to t.kMax).map(buildRow(t, _)).toArray, t.m, t.deltaMax)
-
-  /** Incremental structural update (the paper's "change the positions of the
-    * edges", which the table's level orders already did): copy only the
-    * `I_k` rows of the levels an insertion touched, and of levels above
-    * `prev.kMax`, sharing every other row with the previous index.
-    * `O(Σ_{changed k} |E_k| + |D_k|)`.
+  /** The same view as [[fromTable]]: the table's level orders already hold
+    * every change an insertion made, so no row is copied and `prev` and
+    * `levels` are unused. Kept, with this signature, only because the
+    * benchmark harness in `perfbench/` calls it after each insertion.
     */
-  def refreshRows(prev: TCIndex, t: KSpanTable, levels: Iterable[Int]): TCIndex = {
-    val changed = levels.toSet
-    val rows = Array.tabulate(t.kMax - 2) { i =>
-      if (i < prev.rows.length && !changed(i + 3)) prev.rows(i) else buildRow(t, i + 3)
-    }
-    new TCIndex(rows, t.m, t.deltaMax)
-  }
+  def refreshRows(prev: TCIndex, t: KSpanTable, levels: Iterable[Int]): TCIndex = fromTable(t)
 }

@@ -21,10 +21,11 @@ import repro.triangles.{Mts, TriangleSet}
   *    [[addTimestamp]] lowers their mts in place;
   *  - `tableView` is the state's own copy of the [[KSpanTable]] it was
   *    seeded with, grown by [[addEdge]] and repaired in place by
-  *    [[IndexMaintenance]]; its level orders move with every repair.
-  *    Index refreshes read this live table directly,
-  *    without a copy, so it changes with every insertion; its `deltaMax`
-  *    is an upper bound of the largest mts. [[snapshotTable]] is the
+  *    [[IndexMaintenance]]; its level orders move with every repair. It is
+  *    returned without a copy and changes with every insertion: a
+  *    [[repro.core.TCIndex]] over it is a view that stays current, and DC
+  *    is derived from it again after each insertion. Its `deltaMax` is an
+  *    upper bound of the largest mts. [[snapshotTable]] is the
   *    independent, exact copy.
   *
   * Adjacency rows, timestamp arrays and triangle rows are replaced when they
@@ -73,7 +74,8 @@ final class DynamicState private (
     * an empty k-span row — the caller maintains them.
     */
   def addEdge(u: Int, v: Int, t: Int): (Int, Seq[Int]) = {
-    require(u >= 0 && u < v && edgeId(u, v) < 0)
+    require(u >= 0 && u < v && TemporalGraph.validVertex(v) && edgeId(u, v) < 0)
+    if (v >= adj.length) adj = Array.tabulate(math.max(v + 1, 2 * adj.length))(adjRow)
     widen(t)
     val eid = m
     edges += TEdge(u, v, Array(t))
@@ -95,7 +97,6 @@ final class DynamicState private (
         i += 1; j += 1
       }
     }
-    if (v >= adj.length) adj = Array.tabulate(math.max(v + 1, 2 * adj.length))(adjRow)
     adj(u) = TemporalGraph.withNeighbor(adj(u), v, eid)
     adj(v) = TemporalGraph.withNeighbor(adj(v), u, eid)
     val first = ts.size

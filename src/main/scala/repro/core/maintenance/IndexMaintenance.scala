@@ -1,5 +1,6 @@
 package repro.core.maintenance
 
+import repro.tgraph.TemporalGraph
 import repro.truss.TrussInsert
 
 /** Dynamic index maintenance (§VI): on inserting a temporal edge
@@ -47,8 +48,9 @@ object IndexMaintenance {
       verifiedKs: Int,
       regionEdgesTotal: Int,
       changedSpans: Int,
-      /** k levels whose I_k row membership or edge positions changed —
-        * exactly the rows an incremental TC-Index refresh must copy. */
+      /** k levels whose I_k row membership or edge positions changed, a
+        * counter of the report: the table's level orders have already
+        * moved, so a TC-Index over the table needs no refresh. */
       changedLevels: Set[Int],
       /** triangles whose mts changed or that may enter a k-world */
       candidateTris: Int,
@@ -73,12 +75,13 @@ object IndexMaintenance {
 
   /** Insert temporal edge `(u, v, t)` and restore the full k-span state.
     * Throws `IllegalArgumentException`, with the state untouched, on a self
-    * loop, a negative vertex id, or a `t` that would widen the state's time
-    * range past `Int.MaxValue`.
+    * loop, a vertex id outside `[0, Int.MaxValue)`, or a `t` that would
+    * widen the state's time range past `Int.MaxValue`.
     */
   def insert(st: DynamicState, uRaw: Int, vRaw: Int, t: Int): InsertReport = {
     require(uRaw != vRaw, "self loops are not part of the model")
-    require(uRaw >= 0 && vRaw >= 0, s"vertex ids must be non-negative, got ($uRaw, $vRaw)")
+    require(TemporalGraph.validVertex(uRaw) && TemporalGraph.validVertex(vRaw),
+      s"vertex ids must lie in [0, Int.MaxValue), got ($uRaw, $vRaw)")
     require(st.admits(t), s"timestamp $t widens the time range past Int.MaxValue; time spans would overflow")
     val (u, v) = if (uRaw < vRaw) (uRaw, vRaw) else (vRaw, uRaw)
     val table = st.tableView

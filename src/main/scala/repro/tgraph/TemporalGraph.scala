@@ -2,11 +2,13 @@ package repro.tgraph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** A temporal edge `(u, v, τ)` in canonical form: `u < v` and `ts` sorted,
-  * distinct and non-empty (Preliminaries §II of the paper).
+/** A temporal edge `(u, v, τ)` in canonical form: `u < v`, both valid
+  * vertex ids, and `ts` sorted, distinct and non-empty (Preliminaries §II
+  * of the paper).
   */
 final case class TEdge(u: Int, v: Int, ts: Array[Int]) {
-  require(u < v, s"temporal edge must be canonical (u < v), got ($u, $v)")
+  require(u >= 0 && u < v && TemporalGraph.validVertex(v),
+    s"temporal edge must be canonical (0 ≤ u < v < Int.MaxValue), got ($u, $v)")
   require(ts.nonEmpty, s"temporal edge ($u, $v) must carry at least one timestamp")
 }
 
@@ -86,6 +88,11 @@ object TemporalGraph {
   @inline def nbrOf(packed: Long): Int = (packed >>> 32).toInt
   @inline def eidOf(packed: Long): Int = (packed & 0xffffffffL).toInt
 
+  /** Whether `v` can be a vertex id: ids index arrays of `max id + 1`
+    * entries, so `Int.MaxValue` is out.
+    */
+  def validVertex(v: Int): Boolean = v >= 0 && v < Int.MaxValue
+
   /** Edge id of `{u, v}` in packed adjacency rows laid out like
     * [[TemporalGraph.adj]], or -1 if absent or if either id is out of range:
     * a binary search of `v`'s first entry in the row of the lower endpoint.
@@ -116,7 +123,8 @@ object TemporalGraph {
 
   /** Build from raw interaction triples `(u, v, t)`: canonicalizes pairs,
     * drops self loops, dedupes and sorts timestamps per static edge. Edge
-    * ids follow the lexicographic order of `(u, v)`.
+    * ids follow the lexicographic order of `(u, v)`. Throws
+    * `IllegalArgumentException` on a vertex id outside `[0, Int.MaxValue)`.
     *
     * Interactions are bucketed by their lower endpoint; each bucket holds
     * `(hi << 32) | (t ^ Int.MinValue)` longs, whose sort orders by `hi`,
@@ -127,7 +135,7 @@ object TemporalGraph {
     rows.foreach { case (u, v, _) =>
       if (u != v) {
         val lo = math.min(u, v)
-        require(lo >= 0, s"vertex ids must be non-negative, got ($u, $v)")
+        require(validVertex(u) && validVertex(v), s"vertex ids must lie in [0, Int.MaxValue), got ($u, $v)")
         n += 1; maxLo = math.max(maxLo, lo)
       }
     }

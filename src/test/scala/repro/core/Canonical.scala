@@ -10,19 +10,17 @@ import repro.core.maintenance.DynamicState
   */
 object Canonical {
 
-  /** Per level k: `|E_k|` and each `D_k` block as (span, offset, edges). */
-  def levels(t: KSpanTable): Seq[(Int, Seq[(Int, Int, Set[Int])])] =
-    (3 to t.kMax).map { k =>
-      val lv = t.level(k)
-      (lv.size, (0 until lv.blocks).map(b => (lv.span(b), lv.start(b), (lv.start(b) until lv.end(b)).map(lv.edge).toSet)))
-    }
+  /** Each `D_k` block of a level order as (span, offset, edges). */
+  private def blocks(lv: KSpanTable#Level): Seq[(Int, Int, Set[Int])] =
+    (0 until lv.blocks).map(b => (lv.span(b), lv.start(b), (lv.start(b) until lv.end(b)).map(lv.edge).toSet))
 
-  /** Per row: k, `|E_k|` and each `D_k` block as (span, offset, edges). */
+  /** Per level k: `|E_k|` and its blocks. */
+  def levels(t: KSpanTable): Seq[(Int, Seq[(Int, Int, Set[Int])])] =
+    (3 to t.kMax).map { k => val lv = t.level(k); (lv.size, blocks(lv)) }
+
+  /** `m` and, per row `I_k`: k, `|E_k|` and its blocks. */
   def tc(idx: TCIndex): (Int, Seq[(Int, Int, Seq[(Int, Int, Set[Int])])]) =
-    (idx.m, idx.rows.toSeq.map { r =>
-      val ends = r.offsets.drop(1) :+ r.edges.length
-      (r.k, r.edges.length, r.spans.indices.map(i => (r.spans(i), r.offsets(i), r.edges.slice(r.offsets(i), ends(i)).toSet)))
-    })
+    (idx.m, (3 to idx.kMax).map { k => val r = idx.row(k); (k, r.size, blocks(r)) })
 
   /** The kept (k, δ) nodes with their parent's (k, δ) and their IES as a
     * set, the root, and the lookup runs with their node's (k, δ).
@@ -38,14 +36,19 @@ object Canonical {
   }
 
   /** After an insertion: every level order of the live table equals a
-    * fresh counting sort of `snapshotTable`, the maintained `tc` equals
-    * `TCIndex.fromTable(snapshotTable)` row by row, and DC over the live
-    * table equals DC over `snapshotTable`.
+    * fresh counting sort of `snapshotTable`; `tc`, a TC over the live table,
+    * equals `TCIndex.fromTable(snapshotTable)` row by row and answers as it
+    * does on a (k, δ) grid; and DC over the live table equals DC over
+    * `snapshotTable`.
     */
   def assertFresh(st: DynamicState, tc: TCIndex, ctx: String): Unit = {
     val snap = st.snapshotTable
+    val exact = TCIndex.fromTable(snap)
     assert(levels(st.tableView) == levels(snap), s"$ctx: live level orders diverged from a fresh sort")
-    assert(this.tc(tc) == this.tc(TCIndex.fromTable(snap)), s"$ctx: maintained TC diverged from a fresh TC")
+    assert(this.tc(tc) == this.tc(exact), s"$ctx: TC over the live table diverged from a TC over the snapshot")
+    for (k <- 2 to snap.kMax + 1; d <- Seq(0, snap.deltaMax / 3, snap.deltaMax))
+      assert(tc.query(k, d).sorted.toSeq == exact.query(k, d).sorted.toSeq,
+        s"$ctx: TC over the live table answered (k=$k, δ=$d) unlike a TC over the snapshot")
     assert(dc(DCIndex.fromTable(st.tableView)) == dc(DCIndex.fromTable(snap)),
       s"$ctx: DC over the live table diverged from a fresh DC")
   }

@@ -62,14 +62,15 @@ class IndexMaintenanceSpec extends AnyFunSuite {
   /** Remove `n` random temporal interactions, then replay them through the
     * maintenance path, checking against rebuild after every insertion
     * (the paper's remove-and-reinsert evaluation protocol, §VII-D): the
-    * store and k-span table, the incrementally refreshed TC-Index, and a
-    * DC-Index built from the live table view with its loose `deltaMax`.
-    * The live view's `kMax` equals the snapshot's and its `deltaMax` bounds
-    * the snapshot's. A snapshot, and its MBA rebuild, stay equal after the
-    * next insertion. The live table's level orders, the refreshed TC and
-    * DC over the live table equal those built fresh from the snapshot
-    * ([[Canonical.assertFresh]]). The graph, triangle set and table the
-    * state was seeded from stay untouched.
+    * store and k-span table, one TC-Index taken over the live table before
+    * the replay, and a DC-Index built from the live table view with its
+    * loose `deltaMax`. The live view's `kMax` equals the snapshot's and its
+    * `deltaMax` bounds the snapshot's. A snapshot, and its MBA rebuild,
+    * stay equal after the next insertion. The live table's level orders,
+    * the TC taken before the replay and DC over the live table equal those
+    * built fresh from the snapshot ([[Canonical.assertFresh]]). The graph,
+    * triangle set and table the state was seeded from, and the answers of a
+    * TC over that table, stay untouched.
     */
   private def replay(seed: Int, g: TemporalGraph, n: Int): Unit = {
     val rnd = new Random(seed)
@@ -83,8 +84,11 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val base = TemporalGraph.fromInteractions(kept.toSeq)
     val baseTs = DriverTriangles.enumerate(base)
     val baseTable = MBA.build(baseTs)
+    val baseTc = TCIndex.fromTable(baseTable)
+    def baseAnswers = for (k <- 2 to baseTable.kMax + 1; d <- 0 to baseTable.deltaMax + 1) yield baseTc.query(k, d).toSeq
+    val baseBefore = baseAnswers
     val st = DynamicState.fromGraph(base, baseTs, baseTable)
-    var tc = TCIndex.fromTable(st.tableView)
+    val tc = TCIndex.fromTable(st.tableView)
     var prevSnapshot = st.snapshotTable
     var prevRebuilt = MBA.build(st.snapshotTriangles)
     for ((u, v, t) <- replayable ++ dropped) {
@@ -96,22 +100,15 @@ class IndexMaintenanceSpec extends AnyFunSuite {
         s"seed=$seed: live view bounds diverged after ($u,$v,$t)")
       prevSnapshot = snapshot
       prevRebuilt = MBA.build(st.snapshotTriangles)
-      // the reported changed levels must be sufficient for an incremental
-      // TC refresh to coincide with a full index rebuild
-      tc = TCIndex.refreshRows(tc, st.tableView, report.changedLevels)
       Canonical.assertFresh(st, tc, s"seed=$seed after ($u,$v,$t)")
       assert(Seq(report.trussInsertNs, report.lemma5Ns, report.gasNs, report.peelNs, report.orderMoveNs).forall(_ >= 0),
         s"seed=$seed: negative phase time after ($u,$v,$t): $report")
       assert(report.newStaticEdge || report.trussInsertNs == 0, s"seed=$seed: TrussInsert timed on a timestamp insertion")
-      val full = TCIndex.fromTable(st.tableView)
       val exact = TCIndex.fromTable(st.snapshotTable)
       val dc = DCIndex.fromTable(st.tableView)
-      for (k <- 3 to full.kMax; d <- Seq(0, full.deltaMax / 3, full.deltaMax)) {
-        assert(tc.query(k, d).sorted.toSeq == full.query(k, d).sorted.toSeq,
-          s"seed=$seed incremental TC row k=$k d=$d diverged after ($u,$v,$t)")
+      for (k <- 3 to exact.kMax; d <- Seq(0, exact.deltaMax / 3, exact.deltaMax))
         assert(dc.query(k, d).sorted.toSeq == exact.query(k, d).sorted.toSeq,
           s"seed=$seed DC over the table view k=$k d=$d diverged after ($u,$v,$t)")
-      }
     }
     val fresh = new TemporalGraph(base.edges)
     assert(base.adj.length == fresh.adj.length && base.adj.indices.forall(x => base.adj(x).toSeq == fresh.adj(x).toSeq),
@@ -121,6 +118,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     assert((0 until base.m).forall(e => baseTs.byEdge(e).toSeq == again.byEdge(e).toSeq),
       s"seed=$seed: seed incidence rows were modified")
     assert(baseTable == MBA.build(again), s"seed=$seed: seed k-span table was modified")
+    assert(baseAnswers == baseBefore, s"seed=$seed: a TC over the seed table changed its answers")
   }
 
   for (seed <- 0 until 10) {
@@ -218,6 +216,8 @@ class IndexMaintenanceSpec extends AnyFunSuite {
       (0, 2, Int.MinValue), // existing edge: 9 − Int.MinValue overflows
       (1, 3, Int.MinValue), // new edge
       (1, 3, Int.MaxValue - 4), // (Int.MaxValue − 4) − (−5) overflows
+      (0, Int.MaxValue, 2), // max id + 1 overflows
+      (Int.MaxValue, 3, 2),
     )
     for ((u, v, t) <- bad) {
       intercept[IllegalArgumentException](IndexMaintenance.insert(st, u, v, t))

@@ -20,11 +20,19 @@ class TCIndexSpec extends AnyFunSuite {
     }
   }
 
+  /** Row `I_k` read in place: `E_k` and the `D_k` keys and offsets. */
+  private final class Row(val k: Int, val edges: Array[Int], val spans: Array[Int], val offsets: Array[Int])
+
+  private def rows(idx: TCIndex): Seq[Row] = (3 to idx.kMax).map { k =>
+    val r = idx.row(k)
+    new Row(k, Array.tabulate(r.size)(r.edge), Array.tabulate(r.blocks)(r.span), Array.tabulate(r.blocks)(r.start))
+  }
+
   test("row E_k is sorted by descending k-span and D_k offsets are consistent") {
     val ts = TestGraphs.tris(TestGraphs.running)
     val t = MBA.build(ts)
     val idx = TCIndex.fromTable(t)
-    for (row <- idx.rows) {
+    for (row <- rows(idx)) {
       val spansSeq = row.edges.map(e => t.span(e, row.k)).toSeq
       assert(spansSeq == spansSeq.sortBy(-(_: Int)), s"k=${row.k} not descending")
       assert(row.spans.toSeq == row.spans.toSeq.distinct.sortBy(-(_: Int)))
@@ -40,7 +48,7 @@ class TCIndexSpec extends AnyFunSuite {
     val ts = TestGraphs.tris(TestGraphs.running)
     val t = MBA.build(ts)
     val idx = TCIndex.fromTable(t)
-    for (row <- idx.rows) {
+    for (row <- rows(idx)) {
       val statik = (0 until t.m).filter(t.trn(_) >= row.k).toSet
       assert(row.edges.toSet == statik, s"k=${row.k}")
     }
@@ -48,14 +56,14 @@ class TCIndexSpec extends AnyFunSuite {
 
   test("query below the smallest k-span returns the empty set") {
     val (_, idx) = build(3)
-    for (row <- idx.rows if row.spans.nonEmpty && row.spans.last > 0) {
+    for (row <- rows(idx) if row.spans.nonEmpty && row.spans.last > 0) {
       assert(idx.query(row.k, row.spans.last - 1).isEmpty)
     }
   }
 
   test("query at δ ≥ δmax returns the full static k-truss") {
     val (ts, idx) = build(4)
-    for (row <- idx.rows) {
+    for (row <- rows(idx)) {
       assert(idx.query(row.k, ts.deltaMax).toSet == row.edges.toSet)
       assert(idx.query(row.k, ts.deltaMax + 5).toSet == row.edges.toSet)
     }
@@ -70,7 +78,7 @@ class TCIndexSpec extends AnyFunSuite {
   test("size bound of Theorem 1: entries ≤ kmax·(|E| + δmax)") {
     val (ts, idx) = build(6)
     assert(idx.totalEdgeEntries <= idx.kMax.toLong * ts.m)
-    val dirEntries = idx.rows.map(_.spans.length.toLong).sum
+    val dirEntries = rows(idx).map(_.spans.length.toLong).sum
     assert(dirEntries <= idx.kMax.toLong * (ts.deltaMax + 1))
   }
 }

@@ -37,6 +37,11 @@ class TemporalGraphSpec extends AnyFunSuite {
     assert(new TemporalGraph(Array(TEdge(0, 1, Array(-1, Int.MaxValue - 1)))).m == 1)
   }
 
+  test("vertex ids outside [0, Int.MaxValue) are rejected at ingest") {
+    for (bad <- Seq((0, Int.MaxValue, 1), (Int.MaxValue, 3, 1), (-1, 2, 1)))
+      intercept[IllegalArgumentException](TemporalGraph.fromInteractions(Seq((0, 1, 1), bad)))
+  }
+
   test("edgeId resolves both orientations; missing pairs give -1") {
     val g = TemporalGraph((1, 2, Seq(1)), (2, 3, Seq(2)))
     assert(g.edgeId(1, 2) == g.edgeId(2, 1))
@@ -73,5 +78,8 @@ class TemporalGraphSpec extends AnyFunSuite {
   test("TEdge invariants are enforced") {
     intercept[IllegalArgumentException](TEdge(3, 2, Array(1)))
     intercept[IllegalArgumentException](TEdge(1, 2, Array.empty))
+    intercept[IllegalArgumentException](TEdge(-1, 2, Array(1)))
+    // an id of Int.MaxValue would overflow the graph's nVertexIds
+    intercept[IllegalArgumentException](new TemporalGraph(Array(TEdge(0, Int.MaxValue, Array(1)))))
   }
 }
