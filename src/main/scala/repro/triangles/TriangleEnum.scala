@@ -9,8 +9,8 @@ import repro.tgraph.TemporalGraph
   * algorithm and index construction is `O(Σ min(deg) + |τ|·|Δ|)`: listing all
   * triangles and evaluating mts over their timestamp arrays. Every graph is
   * driver-resident, and [[triangleSet]] enumerates it as one Spark job over a
-  * broadcast adjacency, each task running the sorted-merge kernel of
-  * [[DriverTriangles]] over a range of edge ids. The fine-grained peeling
+  * broadcast upper adjacency, each task running the sorted-merge kernel of
+  * [[DriverTriangles]] over a range of its positions. The fine-grained peeling
   * state machines (DBA/MBA) then consume the collected δ-triangle list on
   * the driver. Tests check the job's output against the driver kernel, a
   * DuckDB SQL oracle and GraphX triangle counts.
@@ -25,9 +25,9 @@ object TriangleEnum {
   /** Triangles of a driver-resident graph as one Spark job: the graph's
     * primitive arrays are broadcast once, each of `defaultParallelism` tasks
     * runs the [[DriverTriangles.enumerateRange]] kernel over a contiguous
-    * range of edge ids, and the packed task outputs are concatenated in
-    * range order — so the result equals [[DriverTriangles.enumerate]] tuple
-    * for tuple, in the same order.
+    * range of upper-adjacency positions (one per edge), and the packed task
+    * outputs are concatenated in range order — so the result equals
+    * [[DriverTriangles.enumerate]] tuple for tuple, in the same order.
     */
   def triangleSet(spark: SparkSession, g: TemporalGraph): TriangleSet = {
     val sc = spark.sparkContext
