@@ -5,9 +5,10 @@ import repro.tgraph.TemporalGraphGen
 
 /** Backs Fig 16: per-insertion index maintenance (TC-IM / DC-IM via the
   * filter-and-verification Algorithm 2) is orders of magnitude cheaper than
-  * rebuilding from scratch with MBA; TC-IM ≤ DC-IM (the tree needs extra
-  * structural work); median per-op cost is far below the mean (most
-  * insertions touch a tiny region).
+  * rebuilding from scratch with MBA; median per-op cost is far below the
+  * mean (most insertions touch a tiny region). TC-IM and DC-IM are printed
+  * but not compared: DC-IM is timed as TC-IM's k-span repair plus the DC
+  * derivation, so it can never be the cheaper one.
   */
 class Claim3MaintenanceBench extends SparkSpec {
 
@@ -30,10 +31,6 @@ class Claim3MaintenanceBench extends SparkSpec {
       assert(r.rebuildTcMs / r.tcImMs > tcFloor, s"${r.name}: ${r.rebuildTcMs / r.tcImMs}")
       assert(r.rebuildDcMs / r.dcImMs > 2, s"${r.name}: ${r.rebuildDcMs / r.dcImMs}")
     }
-  }
-
-  test("TC-IM is at most as expensive as DC-IM (simpler structure refresh)") {
-    for (r <- rows) assert(r.tcImMs <= r.dcImMs * 1.1, r.name)
   }
 
   test("median per-insertion k-span maintenance is tiny local work (heavy tail only)") {

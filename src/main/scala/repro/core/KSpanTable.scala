@@ -35,7 +35,9 @@ package repro.core
   * Only ids `< m` are live: a table that grows by [[appendEdge]] doubles its
   * arrays, so `trn` and `spans` may be longer than `m`. A table built from
   * arrays, by [[allocate]] or by [[copy]] has exact-length arrays. `kMax`
-  * and `deltaMax` are fields that the mutators keep current.
+  * and `deltaMax` are fields that the mutators keep current, and every
+  * mutator call adds one to [[mutations]], so a reader that derived
+  * something from the level orders can tell that it is stale.
   */
 final class KSpanTable private (
     private var trnBuf: Array[Int],
@@ -59,6 +61,7 @@ final class KSpanTable private (
   // the level orders, slot k − 3; null until the first read of a level
   private var levels: Array[Level] = null
   private var moveNs = 0L
+  private var mods = 0L
 
   def m: Int = live
   def trn: Array[Int] = trnBuf
@@ -112,6 +115,9 @@ final class KSpanTable private (
   /** Nanoseconds spent in level-order moves since the table was made. */
   private[repro] def orderMoveNanos: Long = moveNs
 
+  /** Mutator calls since the table was made. */
+  private[repro] def mutations: Long = mods
+
   // --- mutators of the build and of §VI maintenance -----------------------
 
   /** Set the k-span of `e` at level `k` to `d`; once the levels are
@@ -120,6 +126,7 @@ final class KSpanTable private (
   private[repro] def setSpan(e: Int, k: Int, d: Int): Unit = {
     val old = rows(e)(k - 3)
     rows(e)(k - 3) = d
+    mods += 1
     if (levels != null && d != old) {
       val t0 = System.nanoTime()
       levels(k - 3).move(e, old, d)
@@ -136,6 +143,7 @@ final class KSpanTable private (
     trnBuf(live) = 2
     rows(live) = Array.emptyIntArray
     live += 1
+    mods += 1
   }
 
   /** Grow the row of `e` to its `trn(e) − 2` slots after a trussness
@@ -146,6 +154,7 @@ final class KSpanTable private (
   private[repro] def growRow(e: Int, init: Int): Unit = {
     val want = trnBuf(e) - 2
     val cur = rows(e)
+    mods += 1
     if (cur.length < want) {
       val nu = java.util.Arrays.copyOf(cur, want)
       java.util.Arrays.fill(nu, cur.length, want, init)
@@ -164,7 +173,7 @@ final class KSpanTable private (
     if (trnBuf(e) > kTop) kTop = trnBuf(e)
   }
 
-  private[repro] def raiseDeltaMax(d: Int): Unit = if (d > dMax) dMax = d
+  private[repro] def raiseDeltaMax(d: Int): Unit = if (d > dMax) { dMax = d; mods += 1 }
 
   /** An independent, exact-length copy of the live edges. Its level orders
     * are not copied: it sorts its own on the first read.
@@ -246,6 +255,11 @@ final class KSpanTable private (
     def span(b: Int): Int = keys(b)
     def start(b: Int): Int = offs(b)
     def end(b: Int): Int = if (b + 1 < nb) offs(b + 1) else n
+
+    /** The array whose first `size` entries are `E_k`, not a copy: valid
+      * until the table's next mutation.
+      */
+    private[core] def edgeArray: Array[Int] = es
 
     /** A copy of the edges of span exactly `d`. */
     def spanEdges(d: Int): Array[Int] = {
@@ -363,6 +377,9 @@ object KSpanTable {
   /** A table for the trussness `trn`, every row sized `trn(e) − 2` and
     * unset, for a builder to fill through `setSpan`.
     */
-  private[repro] def allocate(trn: Array[Int], deltaMax: Int): KSpanTable =
-    new KSpanTable(trn, Array.tabulate(trn.length)(e => Array.fill(math.max(0, trn(e) - 2))(-1)), deltaMax)
+  private[repro] def allocate(trn: Array[Int], deltaMax: Int): KSpanTable = {
+    val rows = new Array[Array[Int]](trn.length)
+    for (e <- trn.indices) { rows(e) = new Array[Int](math.max(0, trn(e) - 2)); java.util.Arrays.fill(rows(e), -1) }
+    new KSpanTable(trn, rows, deltaMax)
+  }
 }

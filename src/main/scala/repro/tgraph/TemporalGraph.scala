@@ -31,8 +31,7 @@ final class TemporalGraph(val edges: Array[TEdge]) {
   def m: Int = edges.length
 
   /** One-past-the-max vertex id; vertex ids are dense `[0, nVertexIds)`. */
-  val nVertexIds: Int =
-    if (edges.isEmpty) 0 else edges.iterator.map(_.v).max + 1
+  val nVertexIds: Int = { var top = -1; edges.foreach(e => top = math.max(top, e.v)); top + 1 }
 
   /** Number of distinct vertices that occur in some edge (`|V|`). */
   lazy val numVertices: Int = {
@@ -66,10 +65,10 @@ final class TemporalGraph(val edges: Array[TEdge]) {
   def edgeId(u: Int, v: Int): Int = TemporalGraph.edgeId(adj, u, v)
 
   /** Smallest timestamp in the graph (0 for an empty graph). */
-  lazy val tMin: Int = if (edges.isEmpty) 0 else edges.iterator.map(_.ts.head).min
+  lazy val tMin: Int = if (edges.isEmpty) 0 else { var t = Int.MaxValue; edges.foreach(e => t = math.min(t, e.ts.head)); t }
 
   /** Largest timestamp in the graph (0 for an empty graph). */
-  lazy val tMax: Int = if (edges.isEmpty) 0 else edges.iterator.map(_.ts.last).max
+  lazy val tMax: Int = if (edges.isEmpty) 0 else { var t = Int.MinValue; edges.foreach(e => t = math.max(t, e.ts.last)); t }
 
   /** Number of distinct timestamps `n` across all edges. */
   lazy val numDistinctTimestamps: Int = {

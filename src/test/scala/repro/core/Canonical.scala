@@ -25,7 +25,11 @@ object Canonical {
   /** The kept (k, δ) nodes with their parent's (k, δ) and their IES as a
     * set, the root, and the lookup runs with their node's (k, δ).
     */
-  def dc(idx: DCIndex): (Int, Map[(Int, Int), (Option[(Int, Int)], Set[Int])], (Int, Int), Seq[Seq[(Int, (Int, Int))]]) = {
+  def dc(idx: DCIndex): (Int, Map[(Int, Int), (Option[(Int, Int)], Set[Int])], (Int, Int), Seq[Seq[(Int, (Int, Int))]]) =
+    dc(GridDC.Result(idx.m, idx.nodes, idx.rootId, idx.runStarts, idx.runNodes))
+
+  /** The same canonical form of a tree from the grid reference. */
+  def dc(idx: GridDC.Result): (Int, Map[(Int, Int), (Option[(Int, Int)], Set[Int])], (Int, Int), Seq[Seq[(Int, (Int, Int))]]) = {
     def cell(i: Int) = (idx.nodes(i).k, idx.nodes(i).delta)
     val nodes = idx.nodes.indices.map { i =>
       val n = idx.nodes(i)
@@ -36,20 +40,25 @@ object Canonical {
   }
 
   /** After an insertion: every level order of the live table equals a
-    * fresh counting sort of `snapshotTable`; `tc`, a TC over the live table,
-    * equals `TCIndex.fromTable(snapshotTable)` row by row and answers as it
-    * does on a (k, δ) grid; and DC over the live table equals DC over
-    * `snapshotTable`.
+    * fresh counting sort of `snapshotTable`; `tc` and `dc`, a TC and a DC
+    * over the live table taken before the insertion, equal
+    * `TCIndex.fromTable(snapshotTable)` and `DCIndex.fromTable(snapshotTable)`
+    * canonically and answer as they do on a (k, δ) grid; and the DC over
+    * `snapshotTable` equals the grid reference [[GridDC]].
     */
-  def assertFresh(st: DynamicState, tc: TCIndex, ctx: String): Unit = {
+  def assertFresh(st: DynamicState, tc: TCIndex, dc: DCIndex, ctx: String): Unit = {
     val snap = st.snapshotTable
     val exact = TCIndex.fromTable(snap)
     assert(levels(st.tableView) == levels(snap), s"$ctx: live level orders diverged from a fresh sort")
     assert(this.tc(tc) == this.tc(exact), s"$ctx: TC over the live table diverged from a TC over the snapshot")
-    for (k <- 2 to snap.kMax + 1; d <- Seq(0, snap.deltaMax / 3, snap.deltaMax))
+    val exactDc = DCIndex.fromTable(snap)
+    for (k <- 2 to snap.kMax + 1; d <- Seq(0, snap.deltaMax / 3, snap.deltaMax)) {
       assert(tc.query(k, d).sorted.toSeq == exact.query(k, d).sorted.toSeq,
         s"$ctx: TC over the live table answered (k=$k, δ=$d) unlike a TC over the snapshot")
-    assert(dc(DCIndex.fromTable(st.tableView)) == dc(DCIndex.fromTable(snap)),
-      s"$ctx: DC over the live table diverged from a fresh DC")
+      assert(dc.query(k, d).sorted.toSeq == exactDc.query(k, d).sorted.toSeq,
+        s"$ctx: DC over the live table answered (k=$k, δ=$d) unlike a DC over the snapshot")
+    }
+    assert(this.dc(dc) == this.dc(exactDc), s"$ctx: DC over the live table diverged from a DC over the snapshot")
+    assert(this.dc(exactDc) == this.dc(GridDC.derive(snap)), s"$ctx: DC over the snapshot diverged from the grid reference")
   }
 }

@@ -1,9 +1,11 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropCheck
 
 /** DC-Index derivation chain (Definitions 6–8) + DC-Query (§IV-B). */
-class DCIndexSpec extends AnyFunSuite {
+class DCIndexSpec extends AnyFunSuite with PropCheck {
 
   private def build(seed: Int) = {
     val ts = TestGraphs.tris(TestGraphs.random(seed))
@@ -100,5 +102,92 @@ class DCIndexSpec extends AnyFunSuite {
     val t = MBA.build(ts)
     val idx = DCIndex.fromTable(t)
     assert(idx.totalEdgeEntries < t.totalTrussCells)
+  }
+
+  /** The derivation over the level directories equals the grid reference
+    * node for node, and so does its `approxBytes`.
+    */
+  private def assertMatchesGrid(t: KSpanTable, ctx: String): Unit = {
+    val idx = DCIndex.fromTable(t)
+    val ref = GridDC.derive(t)
+    assert(Canonical.dc(idx) == Canonical.dc(ref), s"$ctx: DC diverged from the grid reference")
+    assert(idx.approxBytes == ref.approxBytes, s"$ctx: approxBytes diverged from the grid reference")
+  }
+
+  private val specTables: Seq[(String, () => KSpanTable)] =
+    (0 until 15).map(seed => s"random graph seed=$seed" -> (() => MBA.build(TestGraphs.tris(TestGraphs.random(seed))))) ++ Seq(
+      "running example" -> (() => MBA.build(TestGraphs.tris(TestGraphs.running))),
+      "planted 14-clique, kmax 12" -> (() => MBA.build(TestGraphs.tris(TestGraphs.plantedCore._1))),
+      "triangle-free graph" -> (() => MBA.build(TestGraphs.tris(repro.tgraph.TemporalGraph((0, 1, Seq(1)), (1, 2, Seq(2)))))),
+      "mts-0 clique" -> (() => MBA.build(TestGraphs.tris(repro.tgraph.TemporalGraph(
+        (for (u <- 0 until 5; v <- (u + 1) until 5) yield (u, v, Seq(7))): _*)))),
+      "tie-break table" -> (() => new KSpanTable(Array(4, 3), Array(Array(0, 1), Array(1)), 1)),
+    )
+  for ((name, table) <- specTables) {
+    test(s"$name: DC from the level directories equals the grid reference") {
+      assertMatchesGrid(table(), name)
+    }
+  }
+
+  /** A table of `m ≤ 24` edges, trussness 2..7 and k-spans nondecreasing
+    * in k within `[0, 40]`, with an exact or a loosened `deltaMax`.
+    */
+  private val tableGen: Gen[KSpanTable] = for {
+    m <- Gen.choose(0, 24)
+    rows <- Gen.listOfN(m, Gen.choose(0, 5).flatMap(n => Gen.listOfN(n, Gen.choose(0, 40)).map(_.sorted.toArray)))
+    loosen <- Gen.oneOf(0, 0, 1, 17)
+  } yield {
+    val top = rows.flatten.maxOption.getOrElse(0)
+    new KSpanTable(rows.map(_.length + 2).toArray, rows.toArray, top + loosen)
+  }
+
+  test("property: DC from the level directories equals the grid reference on random tables") {
+    checkProp(Prop.forAll(tableGen) { t =>
+      assertMatchesGrid(t, s"m=${t.m} kMax=${t.kMax} deltaMax=${t.deltaMax}")
+      true
+    }, minTests = 300)
+  }
+
+  test("property: a DC over a table that changes equals a fresh one and the grid reference") {
+    checkProp(Prop.forAll(tableGen, Gen.listOfN(12, Gen.choose(0, Int.MaxValue))) { (t, picks) =>
+      val dc = DCIndex.fromTable(t)
+      // each pick moves one k-span within the bounds its neighbours in k
+      // allow, so spans stay nondecreasing in k
+      for (p <- picks if t.m > 0) {
+        val e = p % t.m
+        if (t.trn(e) >= 3) {
+          val k = 3 + (p / t.m) % (t.trn(e) - 2)
+          val lo = if (k > 3) t.span(e, k - 1) else 0
+          val hi = if (k < t.trn(e)) t.span(e, k + 1) else t.deltaMax
+          t.setSpan(e, k, lo + (p / 7) % (hi - lo + 1))
+          val ctx = s"after k-span ($e, $k) := ${t.span(e, k)}"
+          assert(Canonical.dc(dc) == Canonical.dc(DCIndex.fromTable(t)), s"$ctx: a held DC diverged from a fresh one")
+          assert(Canonical.dc(dc) == Canonical.dc(GridDC.derive(t)), s"$ctx: a held DC diverged from the grid reference")
+          for (k2 <- 2 to t.kMax + 1; d <- 0 to t.deltaMax + 1)
+            assert(dc.query(k2, d).sorted.toSeq == t.trussEdges(k2, d).toSeq, s"$ctx: k=$k2 d=$d")
+        }
+      }
+      true
+    }, minTests = 100)
+  }
+
+  test("wide timestamps: a grid of more than Int.MaxValue cells answers like TC and the table") {
+    // a 100-clique (kmax 100) whose edge timestamps spread over 30M: the
+    // (k, δ) grid has (kmax − 2)(δmax + 1) ≈ 2.9·10⁹ cells
+    val rnd = new scala.util.Random(5)
+    val rows = for (u <- 0 until 100; v <- (u + 1) until 100) yield (u, v, Seq(rnd.nextInt(30000001)))
+    val t = MBA.build(TestGraphs.tris(repro.tgraph.TemporalGraph(rows: _*)))
+    assert(t.kMax == 100 && (t.kMax - 2).toLong * (t.deltaMax + 1L) > Int.MaxValue, s"deltaMax=${t.deltaMax}")
+    val dc = DCIndex.fromTable(t)
+    val tc = TCIndex.fromTable(t)
+    assert(dc.totalEdgeEntries <= tc.totalEdgeEntries)
+    for (k <- 2 to t.kMax + 1) {
+      val spans = if (k >= 3 && k <= t.kMax) { val lv = t.level(k); Seq(lv.span(0), lv.span(lv.blocks / 2), lv.span(lv.blocks - 1)) } else Nil
+      for (d <- Seq(0, t.deltaMax / 3, t.deltaMax) ++ spans.flatMap(s => Seq(s - 1, s))) {
+        val want = t.trussEdges(k, d).toSeq
+        assert(dc.query(k, d).sorted.toSeq == want, s"k=$k d=$d: DC")
+        assert(tc.query(k, d).sorted.toSeq == want, s"k=$k d=$d: TC")
+      }
+    }
   }
 }

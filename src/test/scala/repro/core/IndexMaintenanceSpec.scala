@@ -62,15 +62,15 @@ class IndexMaintenanceSpec extends AnyFunSuite {
   /** Remove `n` random temporal interactions, then replay them through the
     * maintenance path, checking against rebuild after every insertion
     * (the paper's remove-and-reinsert evaluation protocol, §VII-D): the
-    * store and k-span table, one TC-Index taken over the live table before
-    * the replay, and a DC-Index built from the live table view with its
-    * loose `deltaMax`. The live view's `kMax` equals the snapshot's and its
-    * `deltaMax` bounds the snapshot's. A snapshot, and its MBA rebuild,
-    * stay equal after the next insertion. The live table's level orders,
-    * the TC taken before the replay and DC over the live table equal those
-    * built fresh from the snapshot ([[Canonical.assertFresh]]). The graph,
-    * triangle set and table the state was seeded from, and the answers of a
-    * TC over that table, stay untouched.
+    * store and k-span table, and one TC-Index and one DC-Index taken over
+    * the live table, with its loose `deltaMax`, before the replay. The live
+    * view's `kMax` equals the snapshot's and its `deltaMax` bounds the
+    * snapshot's. A snapshot, and its MBA rebuild, stay equal after the next
+    * insertion. The live table's level orders and the TC and DC taken
+    * before the replay equal those built fresh from the snapshot
+    * ([[Canonical.assertFresh]]). The graph, triangle set and table the
+    * state was seeded from, and the answers of a TC and a DC over that
+    * table, stay untouched.
     */
   private def replay(seed: Int, g: TemporalGraph, n: Int): Unit = {
     val rnd = new Random(seed)
@@ -85,10 +85,13 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val baseTs = DriverTriangles.enumerate(base)
     val baseTable = MBA.build(baseTs)
     val baseTc = TCIndex.fromTable(baseTable)
-    def baseAnswers = for (k <- 2 to baseTable.kMax + 1; d <- 0 to baseTable.deltaMax + 1) yield baseTc.query(k, d).toSeq
+    val baseDc = DCIndex.fromTable(baseTable)
+    def baseAnswers = for (k <- 2 to baseTable.kMax + 1; d <- 0 to baseTable.deltaMax + 1)
+      yield (baseTc.query(k, d).toSeq, baseDc.query(k, d).sorted.toSeq)
     val baseBefore = baseAnswers
     val st = DynamicState.fromGraph(base, baseTs, baseTable)
     val tc = TCIndex.fromTable(st.tableView)
+    val dc = DCIndex.fromTable(st.tableView)
     var prevSnapshot = st.snapshotTable
     var prevRebuilt = MBA.build(st.snapshotTriangles)
     for ((u, v, t) <- replayable ++ dropped) {
@@ -100,15 +103,14 @@ class IndexMaintenanceSpec extends AnyFunSuite {
         s"seed=$seed: live view bounds diverged after ($u,$v,$t)")
       prevSnapshot = snapshot
       prevRebuilt = MBA.build(st.snapshotTriangles)
-      Canonical.assertFresh(st, tc, s"seed=$seed after ($u,$v,$t)")
+      Canonical.assertFresh(st, tc, dc, s"seed=$seed after ($u,$v,$t)")
       assert(Seq(report.trussInsertNs, report.lemma5Ns, report.gasNs, report.peelNs, report.orderMoveNs).forall(_ >= 0),
         s"seed=$seed: negative phase time after ($u,$v,$t): $report")
       assert(report.newStaticEdge || report.trussInsertNs == 0, s"seed=$seed: TrussInsert timed on a timestamp insertion")
       val exact = TCIndex.fromTable(st.snapshotTable)
-      val dc = DCIndex.fromTable(st.tableView)
       for (k <- 3 to exact.kMax; d <- Seq(0, exact.deltaMax / 3, exact.deltaMax))
         assert(dc.query(k, d).sorted.toSeq == exact.query(k, d).sorted.toSeq,
-          s"seed=$seed DC over the table view k=$k d=$d diverged after ($u,$v,$t)")
+          s"seed=$seed DC taken before the replay k=$k d=$d diverged after ($u,$v,$t)")
     }
     val fresh = new TemporalGraph(base.edges)
     assert(base.adj.length == fresh.adj.length && base.adj.indices.forall(x => base.adj(x).toSeq == fresh.adj(x).toSeq),
@@ -118,7 +120,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     assert((0 until base.m).forall(e => baseTs.byEdge(e).toSeq == again.byEdge(e).toSeq),
       s"seed=$seed: seed incidence rows were modified")
     assert(baseTable == MBA.build(again), s"seed=$seed: seed k-span table was modified")
-    assert(baseAnswers == baseBefore, s"seed=$seed: a TC over the seed table changed its answers")
+    assert(baseAnswers == baseBefore, s"seed=$seed: a TC or a DC over the seed table changed its answers")
   }
 
   for (seed <- 0 until 10) {

@@ -19,6 +19,7 @@ class MaintenanceStressSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val all = g.edges.flatMap(e => e.ts.map(t => (e.u, e.v, t)))
       val tc = TCIndex.fromTable(st.tableView)
+      val dc = DCIndex.fromTable(st.tableView)
       for (i <- 0 until 20) {
         val pick = rnd.nextInt(3)
         if (pick == 0) {
@@ -35,7 +36,7 @@ class MaintenanceStressSpec extends AnyFunSuite {
           val (u, v, t) = all(rnd.nextInt(all.length))
           IndexMaintenance.insert(st, u, v, t)
         }
-        Canonical.assertFresh(st, tc, s"stress seed=$seed insert $i")
+        Canonical.assertFresh(st, tc, dc, s"stress seed=$seed insert $i")
         val rebuilt = MBA.build(st.snapshotTriangles)
         val got = st.snapshotTable
         assert(got.trn.toSeq == rebuilt.trn.toSeq, "trussness diverged")
@@ -53,9 +54,10 @@ class MaintenanceStressSpec extends AnyFunSuite {
     var maxVerified = 0
     var maxRegionTris = 0
     val tc = TCIndex.fromTable(st.tableView)
+    val dc = DCIndex.fromTable(st.tableView)
     for ((u, v, t) <- removed) {
       val r = IndexMaintenance.insert(st, u, v, t)
-      Canonical.assertFresh(st, tc, s"planted clique insert ($u,$v,$t)")
+      Canonical.assertFresh(st, tc, dc, s"planted clique insert ($u,$v,$t)")
       maxVerified = math.max(maxVerified, r.verifiedKs)
       maxRegionTris = math.max(maxRegionTris, r.regionTris)
       // Lemma 5 sees each candidate at most once per level that the filter
