@@ -121,10 +121,6 @@ final class DCIndex private (table: KSpanTable) {
     starts = new Array[Array[Int]](math.max(0, kMax - 2))
     reps = new Array[Array[Int]](starts.length)
     if (kMax < 3) kept += new DCNode(3, 0, -1, Array.emptyIntArray, 0, 0)
-    // k-span of e at level k+1, treating k = trn(e) as +∞ — k-spans are
-    // nondecreasing in k, so e ∈ T_{k,δ} \ T_{k+1,δ} iff
-    // kspan(e,k) ≤ δ < kspan(e,k+1)
-    @inline def spanUp(e: Int, k: Int): Int = if (k >= t.trn(e)) Int.MaxValue else t.span(e, k + 1)
 
     var k = kMax
     while (k >= 3) {
@@ -163,7 +159,10 @@ final class DCIndex private (table: KSpanTable) {
             else {
               val buf = new scala.collection.mutable.ArrayBuilder.ofInt
               var p = from
-              while (p < row.size) { val e = row.edge(p); if (spanUp(e, k) > d) buf += e; p += 1 }
+              // e ∈ T_{k,δ} is new iff trn(e) = k or δ < kspan(e, k+1), as
+              // k-spans are nondecreasing in k; trn(e) = k is tested on its
+              // own, since no span can stand for +∞ when δ is Int.MaxValue
+              while (p < row.size) { val e = row.edge(p); if (k >= t.trn(e) || t.span(e, k + 1) > d) buf += e; p += 1 }
               val ies = buf.result()
               r = kept.length
               kept += new DCNode(k, d, pUp, ies, 0, ies.length)

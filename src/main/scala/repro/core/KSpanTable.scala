@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.triangles.TriangleSet
+
 /** The complete answer substrate of both indexes: for every edge `e` and
   * every `3 ≤ k ≤ trn(e)`, the k-span of Definition 5 — the smallest δ such
   * that the (k, δ)-truss contains `e`.
@@ -19,9 +21,11 @@ package repro.core
   * The table also keeps every level k in TC order, as a [[Level]]: `E_k`,
   * the edges with `trn ≥ k` in descending k-span, and its `D_k` directory
   * of distinct spans and block offsets. The orders are sorted on the first
-  * read of a [[level]], by one counting sort of all `Σ_e (trn(e) − 2)`
-  * entries over the `δmax + 1` span values followed by a stable pass that
-  * deals them out to their levels, `O(Σ_e trn(e) + δmax)`. From then on
+  * read of a [[level]], by one stable sort of all `Σ_e (trn(e) − 2)`
+  * entries in descending span ([[repro.triangles.TriangleSet.descending]],
+  * a radix sort with one pass per 8-bit digit of the largest span and no
+  * array sized by δmax) followed by a stable pass that deals them out to
+  * their levels. From then on
   * the mutators keep them current with the bin-sort moves of Batagelj and
   * Zaveršnik (2003): a changed entry crosses the block boundaries between
   * its old and its new span, one edge moved per boundary, `O(blocks
@@ -50,8 +54,8 @@ final class KSpanTable private (
   /** @param trn      static trussness of each edge (δ = δmax column)
     * @param spans    the k-span rows, one per edge
     * @param deltaMax largest triangle mts of the graph, or an upper bound of
-    *                 it on a maintained table (mts only shrinks, so the bound
-    *                 loosens directory sizing, never correctness)
+    *                 it on a maintained table (mts only shrinks, so the
+    *                 bound may be loose); nothing is sized by it
     */
   def this(trn: Array[Int], spans: Array[Array[Int]], deltaMax: Int) = {
     this(trn, spans, trn.length, deltaMax, if (trn.isEmpty) 2 else math.max(2, trn.max))
@@ -90,7 +94,7 @@ final class KSpanTable private (
       var k = 3
       while (k <= trn(e)) {
         // e appears in T_{k,δ} for every δ ∈ [kspan, δmax]
-        sum += (deltaMax - span(e, k) + 1).toLong
+        sum += deltaMax.toLong - span(e, k) + 1
         k += 1
       }
       e += 1
@@ -195,45 +199,30 @@ final class KSpanTable private (
 
   // --- the level orders ---------------------------------------------------
 
-  /** One counting sort of every entry by descending span, then a stable
-    * pass that deals the entries out to their levels in that order.
+  /** Every entry by descending span, ties in `(e, slot)` order, through
+    * [[TriangleSet.descending]], then dealt out to its level in that order.
     */
   private def sortLevels(): Unit = {
     val size = new Array[Int](kTop - 2)
-    val next = new Array[Int](dMax + 1) // per span: its count, then its next slot
     var n = 0
     var e = 0
-    while (e < live) {
-      val row = rows(e)
-      var i = 0
-      while (i < trnBuf(e) - 2) { next(row(i)) += 1; size(i) += 1; i += 1 }
-      n += i
-      e += 1
-    }
-    var acc = 0
-    var d = dMax
-    while (d >= 0) { val c = next(d); next(d) = acc; acc += c; d -= 1 }
-    // the entries in descending span, each as (e << 32 | slot)
-    val sorted = new Array[Long](n)
+    while (e < live) { n += math.max(0, trnBuf(e) - 2); e += 1 }
+    // entry p, in (e, slot) order: its span and (e << 32 | slot)
+    val span = new Array[Int](n)
+    val entry = new Array[Long](n)
+    n = 0
     e = 0
     while (e < live) {
       val row = rows(e)
+      val slots = trnBuf(e) - 2
       var i = 0
-      while (i < trnBuf(e) - 2) {
-        sorted(next(row(i))) = e.toLong << 32 | i
-        next(row(i)) += 1
-        i += 1
-      }
+      while (i < slots) { span(n) = row(i); entry(n) = e.toLong << 32 | i; size(i) += 1; n += 1; i += 1 }
       e += 1
     }
     levels = size.map(new Level(_))
-    // the entries of span d now end at next(d)
-    var p = 0
-    d = dMax
-    while (d >= 0) {
-      while (p < next(d)) { levels(sorted(p).toInt).add((sorted(p) >>> 32).toInt, d); p += 1 }
-      d -= 1
-    }
+    val order = TriangleSet.descending(span)
+    var q = 0
+    while (q < n) { val p = order(q); levels(entry(p).toInt).add((entry(p) >>> 32).toInt, span(p)); q += 1 }
   }
 
   /** The TC order `I_k = (E_k, D_k)` of one level: the first `size`

@@ -3,7 +3,8 @@ package repro.core
 import repro.triangles.TriangleSet
 
 /** The support peel of one level k, the one kernel of [[DBA]], of the
-  * verification step of §VI's Algorithm 2 and of [[repro.truss.TrussInsert]].
+  * verification step of §VI's Algorithm 2, of [[repro.truss.TrussInsert]]
+  * and of [[OnlineQuery]].
   *
   * A call — [[begin]], then [[addMember]] and [[addTriangle]], then [[run]]
   * or [[fixpoint]] — is given a level k, the member edges that may be peeled
@@ -86,13 +87,17 @@ private[repro] final class LevelPeel(ts: TriangleSet) {
   }
 
   /** Put the given triangles in descending mts order, for a caller that did
-    * not add them in it.
+    * not add them in it, by [[TriangleSet.descending]]; ties keep the order
+    * they were added in, which the peel does not depend on (see [[run]]).
     */
   def sortTriangles(): Unit = {
-    val keyed = new Array[Long](nTris)
-    for (i <- 0 until nTris) keyed(i) = ts.mts(tris(i)).toLong << 32 | tris(i)
-    java.util.Arrays.sort(keyed)
-    for (i <- 0 until nTris) tris(i) = keyed(nTris - 1 - i).toInt
+    val key = new Array[Int](nTris)
+    var i = 0
+    while (i < nTris) { key(i) = ts.mts(tris(i)); i += 1 }
+    val order = TriangleSet.descending(key)
+    val was = java.util.Arrays.copyOf(tris, nTris)
+    i = 0
+    while (i < nTris) { tris(i) = was(order(i)); i += 1 }
   }
 
   /** Peel level `k` down to `floor` over the given triangles, which must be

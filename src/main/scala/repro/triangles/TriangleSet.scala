@@ -49,21 +49,14 @@ final class TriangleSet private (private var quads: Array[Int], private var n: I
   }
 
   /** Ids of all triangles in descending order of mts, ties in ascending id:
-    * the sweep order of MBA and DBA (Definition 9's δ-triangle list). A
-    * counting sort over `0..deltaMax`, computed on each call.
+    * the sweep order of MBA and DBA (Definition 9's δ-triangle list), by
+    * [[TriangleSet.descending]], computed on each call.
     */
   def byMtsDescending: Array[Int] = {
-    val dMax = deltaMax
-    val next = new Array[Int](dMax + 1) // count of mts δ, then the next slot of δ
+    val key = new Array[Int](n)
     var tid = 0
-    while (tid < n) { next(mts(tid)) += 1; tid += 1 }
-    var filled = 0
-    var d = dMax
-    while (d >= 0) { val c = next(d); next(d) = filled; filled += c; d -= 1 }
-    val out = new Array[Int](n)
-    tid = 0
-    while (tid < n) { out(next(mts(tid))) = tid; next(mts(tid)) += 1; tid += 1 }
-    out
+    while (tid < n) { key(tid) = mts(tid); tid += 1 }
+    TriangleSet.descending(key)
   }
 
   /** Every triangle as a [[Tri]], in id order (a fresh array per call). */
@@ -112,6 +105,47 @@ object TriangleSet {
     */
   def fromPacked(packed: Array[Int], m: Int): TriangleSet =
     new TriangleSet(packed, packed.length / 4, null, m)
+
+  /** The stable permutation of `0 until key.length` by descending key, ties
+    * in ascending id: the one order of MBA and DBA's sweep, of the TC level
+    * orders and of §VI's local peel. The keys must be non-negative. An LSD
+    * radix sort (Knuth, TAOCP vol. 3, §5.2.5) on 8-bit digits, one stable
+    * counting pass per digit of the largest key, `O(n · passes + 256)` time
+    * and `O(n)` memory, whatever the largest key.
+    */
+  private[repro] def descending(key: Array[Int]): Array[Int] = {
+    val n = key.length
+    var top = 0
+    var i = 0
+    while (i < n) { top |= key(i); i += 1 }
+    require(top >= 0, "sort keys must be non-negative")
+    // the ids and their keys in the order of the passes so far; each pass
+    // writes them to the spare pair, which keeps the reads sequential
+    var ids = Array.range(0, n)
+    var keys = key.clone()
+    var ids2 = new Array[Int](n)
+    var keys2 = new Array[Int](n)
+    val next = new Array[Int](256) // per digit, largest first: its count, then its next slot
+    var shift = 0
+    while (shift < 32 && (top >>> shift) != 0) {
+      java.util.Arrays.fill(next, 0)
+      i = 0
+      while (i < n) { next(255 - (keys(i) >>> shift & 255)) += 1; i += 1 }
+      var acc = 0
+      var d = 0
+      while (d < 256) { val c = next(d); next(d) = acc; acc += c; d += 1 }
+      i = 0
+      while (i < n) {
+        val d = 255 - (keys(i) >>> shift & 255)
+        ids2(next(d)) = ids(i); keys2(next(d)) = keys(i); next(d) += 1
+        i += 1
+      }
+      val t = ids; ids = ids2; ids2 = t
+      val u = keys; keys = keys2; keys2 = u
+      shift += 8
+    }
+    ids
+  }
 
   // `byEdge` is built in this method, not in the constructor body: on
   // wikitalk-lite (HotSpot 17, 4 vCPUs) the same loops took 70–85 ms in the

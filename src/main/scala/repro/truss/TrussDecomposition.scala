@@ -48,12 +48,6 @@ object TrussDecomposition {
     (start, inc)
   }
 
-  /** Support of each edge = number of valid triangles containing it. */
-  def supports(ts: TriangleSet, valid: Int => Boolean): Array[Int] = {
-    val start = incidence(ts, Array.range(0, ts.size).filter(valid))._1
-    Array.tabulate(ts.m)(e => start(e + 1) - start(e))
-  }
-
   /** Trussness of every edge, counting only valid triangles.
     *
     * Returns `trn` with `trn(e) ≥ 2`; the (k, δ)-truss is

@@ -70,13 +70,4 @@ class TrussDecompositionSpec extends AnyFunSuite {
       }
     }
   }
-
-  test("supports: counts valid triangles only") {
-    val g = TestGraphs.running
-    val ts = TestGraphs.tris(g)
-    val all = TrussDecomposition.supports(ts, _ => true)
-    val none = TrussDecomposition.supports(ts, _ => false)
-    assert(all.sum == 3 * ts.size)
-    assert(none.sum == 0)
-  }
 }
