@@ -114,9 +114,8 @@ final class DCIndex private (table: KSpanTable) {
   private def current(): Unit = if (derivedAt != table.mutations) derive()
 
   private def derive(): Unit = {
-    val t = table.sortedLevels()
-    derivedAt = t.mutations
-    val kMax = t.kMax
+    derivedAt = table.mutations
+    val kMax = table.kMax
     val kept = new scala.collection.mutable.ArrayBuffer[DCNode]
     starts = new Array[Array[Int]](math.max(0, kMax - 2))
     reps = new Array[Array[Int]](starts.length)
@@ -124,9 +123,9 @@ final class DCIndex private (table: KSpanTable) {
 
     var k = kMax
     while (k >= 3) {
-      val row = t.level(k)
+      val row = table.level(k)
       val hasV = k < kMax
-      val up = if (hasV) t.level(k + 1) else null
+      val up = if (hasV) table.level(k + 1) else null
       val runS = new scala.collection.mutable.ArrayBuilder.ofInt
       val runN = new scala.collection.mutable.ArrayBuilder.ofInt
       var bUp = if (hasV) up.blocks - 1 else -1 // row k+1's blocks of span ≤ δ are those after bUp
@@ -162,7 +161,7 @@ final class DCIndex private (table: KSpanTable) {
               // e ∈ T_{k,δ} is new iff trn(e) = k or δ < kspan(e, k+1), as
               // k-spans are nondecreasing in k; trn(e) = k is tested on its
               // own, since no span can stand for +∞ when δ is Int.MaxValue
-              while (p < row.size) { val e = row.edge(p); if (k >= t.trn(e) || t.span(e, k + 1) > d) buf += e; p += 1 }
+              while (p < row.size) { val e = row.edge(p); if (k >= table.trn(e) || table.span(e, k + 1) > d) buf += e; p += 1 }
               val ies = buf.result()
               r = kept.length
               kept += new DCNode(k, d, pUp, ies, 0, ies.length)
@@ -190,8 +189,8 @@ final class DCIndex private (table: KSpanTable) {
 
 object DCIndex {
 
-  /** A DC over `t`, derived here (the level orders are sorted first if no
-    * read has sorted them) and again on its first read after `t` changes.
+  /** A DC over `t`, derived here from the table's level orders as they
+    * stand, and again on its first read after `t` changes.
     */
   def fromTable(t: KSpanTable): DCIndex = {
     val dc = new DCIndex(t)

@@ -1,7 +1,5 @@
 package repro.core
 
-import repro.triangles.TriangleSet
-
 /** The complete answer substrate of both indexes: for every edge `e` and
   * every `3 ≤ k ≤ trn(e)`, the k-span of Definition 5 — the smallest δ such
   * that the (k, δ)-truss contains `e`.
@@ -20,25 +18,25 @@ import repro.triangles.TriangleSet
   *
   * The table also keeps every level k in TC order, as a [[Level]]: `E_k`,
   * the edges with `trn ≥ k` in descending k-span, and its `D_k` directory
-  * of distinct spans and block offsets. The orders are sorted on the first
-  * read of a [[level]], by one stable sort of all `Σ_e (trn(e) − 2)`
-  * entries in descending span ([[repro.triangles.TriangleSet.descending]],
-  * a radix sort with one pass per 8-bit digit of the largest span and no
-  * array sized by δmax) followed by a stable pass that deals them out to
-  * their levels. From then on
-  * the mutators keep them current with the bin-sort moves of Batagelj and
-  * Zaveršnik (2003): a changed entry crosses the block boundaries between
-  * its old and its new span, one edge moved per boundary, `O(blocks
-  * crossed)` plus `O(|D_k|)` when a block appears or empties; a new slot
-  * enters its level at the tail and moves up the same way. The table keeps
-  * no index of an entry's position, which would cost an int per entry and
-  * a row per edge: a changed entry is found by a scan of its old block, so
-  * a move also costs `O(|block|)`. A directory holds one key per distinct
-  * span of its level, never `δmax + 1`.
+  * of distinct spans and block offsets. The orders exist from the moment
+  * the table does: [[allocate]] makes each level with room for exactly its
+  * `|E_k|` entries, and the first write of a slot enters its edge through
+  * `Level.add`. MBA and DBA write each level in descending span, as
+  * §V's sweeps settle the k-spans, so their entries land in place and the
+  * build sorts nothing. From then on the mutators keep the orders current
+  * with the bin-sort moves of Batagelj and Zaveršnik (2003): a changed
+  * entry crosses the block boundaries between its old and its new span,
+  * one edge moved per boundary, `O(blocks crossed)` plus `O(|D_k|)` when a
+  * block appears or empties; a new slot enters its level at the tail and
+  * moves up the same way. The table keeps no index of an entry's position,
+  * which would cost an int per entry and a row per edge: a changed entry
+  * is found by a scan of its old block, so a move also costs
+  * `O(|block|)`. A directory holds one key per distinct span of its level,
+  * never `δmax + 1`.
   *
   * Only ids `< m` are live: a table that grows by [[appendEdge]] doubles its
-  * arrays, so `trn` and `spans` may be longer than `m`. A table built from
-  * arrays, by [[allocate]] or by [[copy]] has exact-length arrays. `kMax`
+  * arrays, so `trn` and `spans` may be longer than `m`. A table made by
+  * [[allocate]] or by [[copy]] has exact-length arrays. `kMax`
   * and `deltaMax` are fields that the mutators keep current, and every
   * mutator call adds one to [[mutations]], so a reader that derived
   * something from the level orders can tell that it is stale.
@@ -51,19 +49,8 @@ final class KSpanTable private (
     private var kTop: Int,
 ) {
 
-  /** @param trn      static trussness of each edge (δ = δmax column)
-    * @param spans    the k-span rows, one per edge
-    * @param deltaMax largest triangle mts of the graph, or an upper bound of
-    *                 it on a maintained table (mts only shrinks, so the
-    *                 bound may be loose); nothing is sized by it
-    */
-  def this(trn: Array[Int], spans: Array[Array[Int]], deltaMax: Int) = {
-    this(trn, spans, trn.length, deltaMax, if (trn.isEmpty) 2 else math.max(2, trn.max))
-    require(trn.length == spans.length, "one k-span row per edge")
-  }
-
-  // the level orders, slot k − 3; null until the first read of a level
-  private var levels: Array[Level] = null
+  // the level orders, slot k − 3; set by the factory that made the table
+  private var levels: Array[Level] = Array.empty
   private var moveNs = 0L
   private var mods = 0L
 
@@ -102,19 +89,8 @@ final class KSpanTable private (
     sum
   }
 
-  /** This table, with its level orders sorted if no read has sorted them
-    * yet.
-    */
-  private[repro] def sortedLevels(): KSpanTable = {
-    if (levels == null) sortLevels()
-    this
-  }
-
-  /** The TC order of level `3 ≤ k ≤ kMax`, sorted on the first call. */
-  private[repro] def level(k: Int): Level = {
-    sortedLevels()
-    levels(k - 3)
-  }
+  /** The TC order of level `3 ≤ k ≤ kMax`. */
+  private[repro] def level(k: Int): Level = levels(k - 3)
 
   /** Nanoseconds spent in level-order moves since the table was made. */
   private[repro] def orderMoveNanos: Long = moveNs
@@ -124,14 +100,16 @@ final class KSpanTable private (
 
   // --- mutators of the build and of §VI maintenance -----------------------
 
-  /** Set the k-span of `e` at level `k` to `d`; once the levels are
-    * sorted, `e` moves to the block of `d` in level k's order.
+  /** Set the k-span of `e` at level `k` to `d`: the first write of the
+    * slot enters `e` into level k's order, a later one moves it to the
+    * block of `d`.
     */
   private[repro] def setSpan(e: Int, k: Int, d: Int): Unit = {
     val old = rows(e)(k - 3)
     rows(e)(k - 3) = d
     mods += 1
-    if (levels != null && d != old) {
+    if (old < 0) levels(k - 3).add(e, d)
+    else if (d != old) {
       val t0 = System.nanoTime()
       levels(k - 3).move(e, old, d)
       moveNs += System.nanoTime() - t0
@@ -151,9 +129,9 @@ final class KSpanTable private (
   }
 
   /** Grow the row of `e` to its `trn(e) − 2` slots after a trussness
-    * increase, with the new top slots set to `init`, and raise `kMax`. Once
-    * the levels are sorted, `e` enters the order of each new slot's level,
-    * a level above `kMax` starting a new order.
+    * increase, with the new top slots set to `init`, and raise `kMax`. `e`
+    * enters the order of each new slot's level, a level above `kMax`
+    * starting a new order.
     */
   private[repro] def growRow(e: Int, init: Int): Unit = {
     val want = trnBuf(e) - 2
@@ -163,27 +141,28 @@ final class KSpanTable private (
       val nu = java.util.Arrays.copyOf(cur, want)
       java.util.Arrays.fill(nu, cur.length, want, init)
       rows(e) = nu
-      if (levels != null) {
-        val t0 = System.nanoTime()
-        if (levels.length < want) {
-          val n0 = levels.length
-          levels = java.util.Arrays.copyOf(levels, want)
-          for (i <- n0 until want) levels(i) = new Level(0)
-        }
-        for (i <- cur.length until want) levels(i).add(e, init)
-        moveNs += System.nanoTime() - t0
+      val t0 = System.nanoTime()
+      if (levels.length < want) {
+        val n0 = levels.length
+        levels = java.util.Arrays.copyOf(levels, want)
+        for (i <- n0 until want) levels(i) = new Level(0)
       }
+      for (i <- cur.length until want) levels(i).add(e, init)
+      moveNs += System.nanoTime() - t0
     }
     if (trnBuf(e) > kTop) kTop = trnBuf(e)
   }
 
   private[repro] def raiseDeltaMax(d: Int): Unit = if (d > dMax) { dMax = d; mods += 1 }
 
-  /** An independent, exact-length copy of the live edges. Its level orders
-    * are not copied: it sorts its own on the first read.
+  /** An independent, exact-length copy of the live edges, with clones of
+    * the level orders.
     */
-  private[repro] def copy(deltaMax: Int = dMax): KSpanTable =
-    new KSpanTable(java.util.Arrays.copyOf(trnBuf, live), Array.tabulate(live)(rows(_).clone()), deltaMax)
+  private[repro] def copy(deltaMax: Int = dMax): KSpanTable = {
+    val c = new KSpanTable(java.util.Arrays.copyOf(trnBuf, live), Array.tabulate(live)(rows(_).clone()), live, deltaMax, kTop)
+    c.levels = levels.map(_.cloneFor(c))
+    c
+  }
 
   /** Equal k-spans; the level orders, whose ties may sit in any order
     * within a block, are not compared.
@@ -199,44 +178,24 @@ final class KSpanTable private (
 
   // --- the level orders ---------------------------------------------------
 
-  /** Every entry by descending span, ties in `(e, slot)` order, through
-    * [[TriangleSet.descending]], then dealt out to its level in that order.
-    */
-  private def sortLevels(): Unit = {
-    val size = new Array[Int](kTop - 2)
-    var n = 0
-    var e = 0
-    while (e < live) { n += math.max(0, trnBuf(e) - 2); e += 1 }
-    // entry p, in (e, slot) order: its span and (e << 32 | slot)
-    val span = new Array[Int](n)
-    val entry = new Array[Long](n)
-    n = 0
-    e = 0
-    while (e < live) {
-      val row = rows(e)
-      val slots = trnBuf(e) - 2
-      var i = 0
-      while (i < slots) { span(n) = row(i); entry(n) = e.toLong << 32 | i; size(i) += 1; n += 1; i += 1 }
-      e += 1
-    }
-    levels = size.map(new Level(_))
-    val order = TriangleSet.descending(span)
-    var q = 0
-    while (q < n) { val p = order(q); levels(entry(p).toInt).add((entry(p) >>> 32).toInt, span(p)); q += 1 }
-  }
-
   /** The TC order `I_k = (E_k, D_k)` of one level: the first `size`
     * entries of the edge array are `E_k` in descending k-span, and block
     * `b < blocks` holds the edges of span `span(b)` (descending in `b`) at
     * positions `[start(b), end(b))`. Edges of equal span sit in no
     * particular order. Readers only read; the table moves the entries.
     */
-  final class Level private[KSpanTable] (capacity: Int) {
-    private var es = new Array[Int](capacity)
-    private var n = 0
-    private var keys = new Array[Int](4) // D_k: the distinct spans, descending
-    private var offs = new Array[Int](4) // D_k: the first position of each
-    private var nb = 0
+  final class Level private[KSpanTable] (
+      private var es: Array[Int],
+      private var n: Int,
+      private var keys: Array[Int], // D_k: the distinct spans, descending
+      private var offs: Array[Int], // D_k: the first position of each
+      private var nb: Int,
+  ) {
+    /** An empty order with room for `capacity` entries. */
+    private[KSpanTable] def this(capacity: Int) = this(new Array[Int](capacity), 0, new Array[Int](4), new Array[Int](4), 0)
+
+    /** A clone of this order, for the copy `t` of its table. */
+    private[KSpanTable] def cloneFor(t: KSpanTable): t.Level = new t.Level(es.clone(), n, keys.clone(), offs.clone(), nb)
 
     def size: Int = n
     def blocks: Int = nb
@@ -281,8 +240,9 @@ final class KSpanTable private (
     }
 
     /** A new entry: `e` enters at the tail, inside the last block, and moves
-      * up to span `d` from there. The build adds in descending span, so
-      * its entries never move.
+      * up to span `d` from there, so entries may arrive in any order. MBA
+      * and DBA add each level's entries in descending span, so theirs never
+      * move.
       */
     private[KSpanTable] def add(e: Int, d: Int): Unit = {
       if (n == es.length) es = java.util.Arrays.copyOf(es, n + (n >> 3) + 4)
@@ -364,11 +324,30 @@ final class KSpanTable private (
 object KSpanTable {
 
   /** A table for the trussness `trn`, every row sized `trn(e) − 2` and
-    * unset, for a builder to fill through `setSpan`.
+    * unset, for a builder to fill through `setSpan`. Level k gets room for
+    * its `#{e : trn(e) ≥ k}` entries. `deltaMax` is the largest triangle
+    * mts of the graph; on a maintained table, where mts only shrinks, it is
+    * an upper bound of it. Nothing is sized by it.
     */
   private[repro] def allocate(trn: Array[Int], deltaMax: Int): KSpanTable = {
+    var top = 2
+    var e = 0
+    while (e < trn.length) { if (trn(e) > top) top = trn(e); e += 1 }
+    // size(k − 3): the edges of trussness exactly k, then of at least k
+    val size = new Array[Int](top - 2)
     val rows = new Array[Array[Int]](trn.length)
-    for (e <- trn.indices) { rows(e) = new Array[Int](math.max(0, trn(e) - 2)); java.util.Arrays.fill(rows(e), -1) }
-    new KSpanTable(trn, rows, deltaMax)
+    e = 0
+    while (e < trn.length) {
+      val row = new Array[Int](math.max(0, trn(e) - 2))
+      java.util.Arrays.fill(row, -1)
+      rows(e) = row
+      if (trn(e) >= 3) size(trn(e) - 3) += 1
+      e += 1
+    }
+    var i = size.length - 2
+    while (i >= 0) { size(i) += size(i + 1); i -= 1 }
+    val t = new KSpanTable(trn, rows, trn.length, deltaMax, top)
+    t.levels = size.map(new t.Level(_))
+    t
   }
 }

@@ -50,11 +50,10 @@ final class TCIndex private (table: KSpanTable) {
 
 object TCIndex {
 
-  /** A view of `t`'s level orders, which are sorted here if no read has
-    * sorted them yet, `O(Σ_e trn(e) + δmax)`; a later call on the same table
-    * costs `O(1)`.
+  /** A view of `t`'s level orders, `O(1)`: the table keeps them in TC
+    * order from its allocation on, so nothing is sorted or copied here.
     */
-  def fromTable(t: KSpanTable): TCIndex = new TCIndex(t.sortedLevels())
+  def fromTable(t: KSpanTable): TCIndex = new TCIndex(t)
 
   /** The same view as [[fromTable]]: the table's level orders already hold
     * every change an insertion made, so no row is copied and `prev` and

@@ -1,6 +1,7 @@
 package repro.tgraph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.tgraph.TemporalGraph.{eidOf, nbrOf}
 
 /** A temporal edge `(u, v, τ)` in canonical form: `u < v`, both valid
   * vertex ids, and `ts` sorted, distinct and non-empty (Preliminaries §II
@@ -10,6 +11,8 @@ final case class TEdge(u: Int, v: Int, ts: Array[Int]) {
   require(u >= 0 && u < v && TemporalGraph.validVertex(v),
     s"temporal edge must be canonical (0 ≤ u < v < Int.MaxValue), got ($u, $v)")
   require(ts.nonEmpty, s"temporal edge ($u, $v) must carry at least one timestamp")
+  require((1 until ts.length).forall(i => ts(i - 1) < ts(i)),
+    s"temporal edge ($u, $v) must carry its timestamps sorted and distinct, got ${ts.mkString("[", ", ", "]")}")
 }
 
 /** Immutable driver-side temporal graph `G_t = (V, E, Γ)`.
@@ -41,7 +44,8 @@ final class TemporalGraph(val edges: Array[TEdge]) {
   }
 
   /** Packed adjacency: `adj(v)` holds `(neighbor << 32) | edgeId`, sorted by
-    * neighbor. Covers both directions of each undirected edge.
+    * neighbor. Covers both directions of each undirected edge. Throws
+    * `IllegalArgumentException` if two edges join the same pair.
     */
   val adj: Array[Array[Long]] = {
     val deg = new Array[Int](nVertexIds)
@@ -55,7 +59,12 @@ final class TemporalGraph(val edges: Array[TEdge]) {
       out(e.v)(fill(e.v)) = (e.u.toLong << 32) | eid.toLong; fill(e.v) += 1
       eid += 1
     }
-    out.foreach(a => java.util.Arrays.sort(a))
+    out.foreach { row =>
+      java.util.Arrays.sort(row)
+      // a static pair is one edge: each neighbor once per row
+      for (i <- 1 until row.length) require(nbrOf(row(i - 1)) != nbrOf(row(i)),
+        s"a static pair is given twice, as edges ${eidOf(row(i - 1))} and ${eidOf(row(i))}")
+    }
     out
   }
 

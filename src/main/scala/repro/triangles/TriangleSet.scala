@@ -107,9 +107,9 @@ object TriangleSet {
     new TriangleSet(packed, packed.length / 4, null, m)
 
   /** The stable permutation of `0 until key.length` by descending key, ties
-    * in ascending id: the one order of MBA and DBA's sweep, of the TC level
-    * orders and of §VI's local peel. The keys must be non-negative. An LSD
-    * radix sort (Knuth, TAOCP vol. 3, §5.2.5) on 8-bit digits, one stable
+    * in ascending id: the one order of MBA and DBA's sweep and of §VI's
+    * local peel. The keys must be non-negative. An LSD radix sort (Knuth,
+    * TAOCP vol. 3, §5.2.5) on 8-bit digits, one stable
     * counting pass per digit of the largest key, `O(n · passes + 256)` time
     * and `O(n)` memory, whatever the largest key.
     */

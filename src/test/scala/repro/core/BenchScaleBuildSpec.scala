@@ -1,0 +1,29 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.tgraph.TemporalGraphGen
+
+/** The static build at the scale of the benchmark: on the email-lite and
+  * wikitalk-lite analogs, MBA and DBA give the same table, the level
+  * orders both builders wrote equal the reference built from the spans
+  * alone, and their TC and DC are canonically equal. On wikitalk-lite
+  * that covers 47 levels of some 10K blocks, all entered by the builders'
+  * writes.
+  */
+class BenchScaleBuildSpec extends AnyFunSuite {
+
+  for (name <- Seq("email-lite", "wikitalk-lite")) {
+    test(s"$name: MBA == DBA, both level orders equal the reference, TC and DC canonically equal") {
+      val ts = TestGraphs.tris(TemporalGraphGen.generate(TemporalGraphGen.byName(name)))
+      val mba = MBA.build(ts)
+      val dba = DBA.build(ts)
+      assert(mba == dba, s"$name: DBA diverged from MBA")
+      val ref = Canonical.levelsOf(mba)
+      assert(Canonical.levels(mba) == ref, s"$name: MBA's level orders diverged from the reference")
+      assert(Canonical.levels(dba) == ref, s"$name: DBA's level orders diverged from the reference")
+      assert(Canonical.tc(TCIndex.fromTable(mba)) == Canonical.tc(TCIndex.fromTable(dba)), s"$name: TC of MBA != TC of DBA")
+      assert(Canonical.dc(DCIndex.fromTable(mba)) == Canonical.dc(DCIndex.fromTable(dba)), s"$name: DC of MBA != DC of DBA")
+      info(s"kMax ${mba.kMax}, ${ref.map(_._1.toLong).sum} entries in ${ref.map(_._2.size).sum} blocks")
+    }
+  }
+}

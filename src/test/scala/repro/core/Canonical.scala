@@ -18,6 +18,26 @@ object Canonical {
   def levels(t: KSpanTable): Seq[(Int, Seq[(Int, Int, Set[Int])])] =
     (3 to t.kMax).map { k => val lv = t.level(k); (lv.size, blocks(lv)) }
 
+  /** The reference that [[levels]] must equal, from `trn` and `spans`
+    * alone, never reading a level order: level k holds the edges of
+    * `trn ≥ k`, one block per distinct span of theirs, descending, each at
+    * the count of the edges of larger span.
+    */
+  def levelsOf(t: KSpanTable): Seq[(Int, Seq[(Int, Int, Set[Int])])] = {
+    val top = (0 until t.m).foldLeft(2)((top, e) => math.max(top, t.trn(e)))
+    // bySpan(k − 3): span -> the edges of that span at level k
+    val bySpan = Array.fill(top - 2)(scala.collection.mutable.Map.empty[Int, Set[Int]])
+    for (e <- 0 until t.m; k <- 3 to t.trn(e)) {
+      val d = t.spans(e)(k - 3)
+      bySpan(k - 3)(d) = bySpan(k - 3).getOrElse(d, Set.empty[Int]) + e
+    }
+    bySpan.toSeq.map { level =>
+      val spans = level.keys.toSeq.sorted.reverse
+      val offsets = spans.scanLeft(0)((off, d) => off + level(d).size)
+      (offsets.last, spans.zip(offsets).map { case (d, off) => (d, off, level(d)) })
+    }
+  }
+
   /** `m` and, per row `I_k`: k, `|E_k|` and its blocks. */
   def tc(idx: TCIndex): (Int, Seq[(Int, Int, Seq[(Int, Int, Set[Int])])]) =
     (idx.m, (3 to idx.kMax).map { k => val r = idx.row(k); (k, r.size, blocks(r)) })
@@ -39,26 +59,30 @@ object Canonical {
     (idx.m, nodes, cell(idx.rootId), idx.runStarts.indices.map(r => idx.runStarts(r).toSeq.zip(idx.runNodes(r).map(cell))))
   }
 
-  /** After an insertion: every level order of the live table equals a
-    * fresh counting sort of `snapshotTable`; `tc` and `dc`, a TC and a DC
-    * over the live table taken before the insertion, equal
-    * `TCIndex.fromTable(snapshotTable)` and `DCIndex.fromTable(snapshotTable)`
-    * canonically and answer as they do on a (k, δ) grid; and the DC over
-    * `snapshotTable` equals the grid reference [[GridDC]].
+  /** After an insertion: every level order of the live table equals the
+    * reference [[levelsOf]], and so does every level order of `fresh`, the
+    * caller's MBA rebuild from `snapshotTriangles`, whose spans the live
+    * table must hold; `tc` and `dc`, a TC and a DC over the live table
+    * taken before the insertion, equal `TCIndex.fromTable(fresh)` and
+    * `DCIndex.fromTable(fresh)` canonically and answer as they do on a
+    * (k, δ) grid; and the DC over `fresh` equals the grid reference
+    * [[GridDC]].
     */
-  def assertFresh(st: DynamicState, tc: TCIndex, dc: DCIndex, ctx: String): Unit = {
-    val snap = st.snapshotTable
-    val exact = TCIndex.fromTable(snap)
-    assert(levels(st.tableView) == levels(snap), s"$ctx: live level orders diverged from a fresh sort")
-    assert(this.tc(tc) == this.tc(exact), s"$ctx: TC over the live table diverged from a TC over the snapshot")
-    val exactDc = DCIndex.fromTable(snap)
-    for (k <- 2 to snap.kMax + 1; d <- Seq(0, snap.deltaMax / 3, snap.deltaMax)) {
+  def assertFresh(st: DynamicState, fresh: KSpanTable, tc: TCIndex, dc: DCIndex, ctx: String): Unit = {
+    val live = levels(st.tableView)
+    assert(live == levelsOf(st.tableView), s"$ctx: live level orders diverged from the reference")
+    assert(levels(fresh) == levelsOf(fresh), s"$ctx: the rebuild's level orders diverged from the reference")
+    assert(live == levels(fresh), s"$ctx: live level orders diverged from the rebuild's")
+    val exact = TCIndex.fromTable(fresh)
+    assert(this.tc(tc) == this.tc(exact), s"$ctx: TC over the live table diverged from a TC over the rebuild")
+    val exactDc = DCIndex.fromTable(fresh)
+    for (k <- 2 to fresh.kMax + 1; d <- Seq(0, fresh.deltaMax / 3, fresh.deltaMax)) {
       assert(tc.query(k, d).sorted.toSeq == exact.query(k, d).sorted.toSeq,
-        s"$ctx: TC over the live table answered (k=$k, δ=$d) unlike a TC over the snapshot")
+        s"$ctx: TC over the live table answered (k=$k, δ=$d) unlike a TC over the rebuild")
       assert(dc.query(k, d).sorted.toSeq == exactDc.query(k, d).sorted.toSeq,
-        s"$ctx: DC over the live table answered (k=$k, δ=$d) unlike a DC over the snapshot")
+        s"$ctx: DC over the live table answered (k=$k, δ=$d) unlike a DC over the rebuild")
     }
-    assert(this.dc(dc) == this.dc(exactDc), s"$ctx: DC over the live table diverged from a DC over the snapshot")
-    assert(this.dc(exactDc) == this.dc(GridDC.derive(snap)), s"$ctx: DC over the snapshot diverged from the grid reference")
+    assert(this.dc(dc) == this.dc(exactDc), s"$ctx: DC over the live table diverged from a DC over the rebuild")
+    assert(this.dc(exactDc) == this.dc(GridDC.derive(fresh)), s"$ctx: DC over the rebuild diverged from the grid reference")
   }
 }

@@ -73,7 +73,7 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
   test("arborescence: a tie between the two outgoing edges keeps the horizontal one") {
     // at (k=3, δ=1) both weights are 1: |T_{3,1}| − |T_{4,1}| = 2 − 1 and
     // #{e : kspan(e,3) = 1} = 1
-    val t = new KSpanTable(Array(4, 3), Array(Array(0, 1), Array(1)), 1)
+    val t = TestGraphs.table(Array(4, 3), Array(Array(0, 1), Array(1)), 1)
     val idx = DCIndex.fromTable(t)
     val n = idx.nodes.find(n => n.k == 3 && n.delta == 1).get
     val p = idx.nodes(n.parent)
@@ -121,7 +121,7 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
       "triangle-free graph" -> (() => MBA.build(TestGraphs.tris(repro.tgraph.TemporalGraph((0, 1, Seq(1)), (1, 2, Seq(2)))))),
       "mts-0 clique" -> (() => MBA.build(TestGraphs.tris(repro.tgraph.TemporalGraph(
         (for (u <- 0 until 5; v <- (u + 1) until 5) yield (u, v, Seq(7))): _*)))),
-      "tie-break table" -> (() => new KSpanTable(Array(4, 3), Array(Array(0, 1), Array(1)), 1)),
+      "tie-break table" -> (() => TestGraphs.table(Array(4, 3), Array(Array(0, 1), Array(1)), 1)),
     )
   for ((name, table) <- specTables) {
     test(s"$name: DC from the level directories equals the grid reference") {
@@ -138,7 +138,7 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
     loosen <- Gen.oneOf(0, 0, 1, 17)
   } yield {
     val top = rows.flatten.maxOption.getOrElse(0)
-    new KSpanTable(rows.map(_.length + 2).toArray, rows.toArray, top + loosen)
+    TestGraphs.table(rows.map(_.length + 2).toArray, rows.toArray, top + loosen)
   }
 
   test("property: DC from the level directories equals the grid reference on random tables") {

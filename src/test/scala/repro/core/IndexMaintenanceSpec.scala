@@ -67,8 +67,8 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     * view's `kMax` equals the snapshot's and its `deltaMax` bounds the
     * snapshot's. A snapshot, and its MBA rebuild, stay equal after the next
     * insertion. The live table's level orders and the TC and DC taken
-    * before the replay equal those built fresh from the snapshot
-    * ([[Canonical.assertFresh]]). The graph, triangle set and table the
+    * before the replay equal those built fresh by MBA from the snapshot's
+    * triangles ([[Canonical.assertFresh]]). The graph, triangle set and table the
     * state was seeded from, and the answers of a TC and a DC over that
     * table, stay untouched.
     */
@@ -103,7 +103,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
         s"seed=$seed: live view bounds diverged after ($u,$v,$t)")
       prevSnapshot = snapshot
       prevRebuilt = MBA.build(st.snapshotTriangles)
-      Canonical.assertFresh(st, tc, dc, s"seed=$seed after ($u,$v,$t)")
+      Canonical.assertFresh(st, prevRebuilt, tc, dc, s"seed=$seed after ($u,$v,$t)")
       assert(Seq(report.trussInsertNs, report.lemma5Ns, report.gasNs, report.peelNs, report.orderMoveNs).forall(_ >= 0),
         s"seed=$seed: negative phase time after ($u,$v,$t): $report")
       assert(report.newStaticEdge || report.trussInsertNs == 0, s"seed=$seed: TrussInsert timed on a timestamp insertion")

@@ -45,38 +45,78 @@ class KSpanTableSpec extends AnyFunSuite {
     if (a.m > 0 && a.trn(0) >= 3) {
       val spans2 = a.spans.map(_.clone())
       spans2(0)(0) = spans2(0)(0) + 1
-      val c = new KSpanTable(a.trn.clone(), spans2, a.deltaMax)
+      val c = TestGraphs.table(a.trn.clone(), spans2, a.deltaMax)
       assert(a != c)
     }
-    assert(a != new KSpanTable(a.trn.clone(), a.spans.map(_.clone()), a.deltaMax + 1))
+    assert(a != TestGraphs.table(a.trn.clone(), a.spans.map(_.clone()), a.deltaMax + 1))
   }
 
   test("kMax floors at 2 on empty tables") {
-    val t = new KSpanTable(Array.empty, Array.empty, 0)
+    val t = TestGraphs.table(Array.empty, Array.empty, 0)
     assert(t.kMax == 2 && t.totalTrussCells == 0L && t.trussEdges(3, 0).isEmpty)
   }
 
   // --- level orders --------------------------------------------------------
 
-  /** A table of one level: edge e has trn 3 and k-span `spans(e)`. */
+  /** A table of one level: edge e has trn 3 and k-span `spans(e)`,
+    * written in edge order.
+    */
   private def oneLevel(spans: Int*): KSpanTable =
-    new KSpanTable(Array.fill(spans.length)(3), spans.map(Array(_)).toArray, spans.max)
+    TestGraphs.table(Array.fill(spans.length)(3), spans.map(Array(_)).toArray, spans.max)
 
-  /** The live orders equal a fresh counting sort of the same k-spans. */
+  /** The live orders equal the reference built from the k-spans alone. */
   private def assertSorted(t: KSpanTable, ctx: String): Unit =
-    assert(Canonical.levels(t) == Canonical.levels(t.copy()), ctx)
+    assert(Canonical.levels(t) == Canonical.levelsOf(t), ctx)
 
   private def order(t: KSpanTable, k: Int): Seq[Int] = { val lv = t.level(k); (0 until lv.size).map(lv.edge) }
   private def directory(t: KSpanTable, k: Int): Seq[(Int, Int)] = { val lv = t.level(k); (0 until lv.blocks).map(b => (lv.span(b), lv.start(b))) }
 
   test("level orders: a fresh sort is by descending span, one block per distinct span") {
     val t = oneLevel(2, 5, 0, 5, 2, 7)
-    assert(Canonical.levels(t) == Seq((6, Seq((7, 0, Set(5)), (5, 1, Set(1, 3)), (2, 3, Set(0, 4)), (0, 5, Set(2))))))
+    val want = Seq((6, Seq((7, 0, Set(5)), (5, 1, Set(1, 3)), (2, 3, Set(0, 4)), (0, 5, Set(2)))))
+    assert(Canonical.levels(t) == want && Canonical.levelsOf(t) == want)
+  }
+
+  test("level orders: first writes in any order enter them, and MBA's and DBA's land in place") {
+    def exact(t: KSpanTable) = (3 to t.kMax).forall(k => t.level(k).edgeArray.length == t.level(k).size)
+    for (seed <- 0 until 6) {
+      val ts = TestGraphs.tris(TestGraphs.random(seed))
+      val ref = MBA.build(ts)
+      val dba = DBA.build(ts)
+      for (t <- Seq(ref, dba)) {
+        assertSorted(t, s"seed=$seed: a built table")
+        // no entry moved, and no level outgrew the room allocate gave it
+        assert(t.orderMoveNanos == 0 && exact(t), s"seed=$seed: a builder's entries moved")
+      }
+      val t = KSpanTable.allocate(ref.trn.clone(), ref.deltaMax)
+      assert((3 to t.kMax).forall(k => t.level(k).size == 0 && t.level(k).blocks == 0))
+      val entries = for (e <- 0 until ref.m; k <- 3 to ref.trn(e)) yield (e, k)
+      for ((e, k) <- new Random(seed).shuffle(entries)) t.setSpan(e, k, ref.span(e, k))
+      assert(t == ref && exact(t), s"seed=$seed: shuffled writes")
+      assertSorted(t, s"seed=$seed: shuffled writes")
+    }
+  }
+
+  test("level orders: copy clones them entry for entry, and neither side sees the other's moves") {
+    val a = table(3)
+    val rnd = new Random(3)
+    def scramble(t: KSpanTable): Unit = for (_ <- 0 until 40) {
+      val e = rnd.nextInt(t.m)
+      if (t.trn(e) >= 3) t.setSpan(e, 3, rnd.nextInt(t.deltaMax + 1))
+    }
+    def orders(t: KSpanTable) = (3 to t.kMax).map(k => (order(t, k), directory(t, k)))
+    scramble(a) // ties now sit in no written order
+    val c = a.copy()
+    val before = orders(a)
+    assert(orders(c) == before && c == a)
+    scramble(a)
+    assert(orders(c) == before, "a move of the original reached the copy")
+    assertSorted(a, "the moved original")
+    assertSorted(c, "the copy")
   }
 
   test("level orders: lowering and raising a span across several blocks") {
     val t = oneLevel(9, 9, 7, 7, 5, 5, 3, 3, 1, 1)
-    t.level(3)
     t.setSpan(0, 3, 1) // down four blocks into an existing one
     assertSorted(t, "lowered into an existing block")
     assert(directory(t, 3) == Seq((9, 0), (7, 1), (5, 3), (3, 5), (1, 7)))
@@ -102,7 +142,6 @@ class KSpanTableSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val entries = for (e <- 0 until t.m; k <- 3 to t.trn(e)) yield (e, k)
       if (entries.nonEmpty) {
-        t.level(3)
         for (i <- 0 until 60) {
           val (e, k) = entries(rnd.nextInt(entries.length))
           t.setSpan(e, k, rnd.nextInt(t.deltaMax + 1))
@@ -114,7 +153,6 @@ class KSpanTableSpec extends AnyFunSuite {
 
   test("level orders: growRow enters the new slots, and a new kMax level") {
     val t = oneLevel(4, 2, 2, 0)
-    t.level(3)
     t.trn(1) = 5
     t.growRow(1, 3)
     assert(t.kMax == 5 && t.span(1, 4) == 3 && t.span(1, 5) == 3)
@@ -134,7 +172,6 @@ class KSpanTableSpec extends AnyFunSuite {
   test("level orders: appendEdge, before and after the first move") {
     for (moveFirst <- Seq(false, true)) {
       val t = oneLevel(3, 1, 2)
-      t.level(3)
       if (moveFirst) t.setSpan(0, 3, 0)
       for (_ <- 0 until 20) t.appendEdge() // past the exact-length arrays
       assert(t.m == 23 && t.kMax == 3)
@@ -158,7 +195,6 @@ class KSpanTableSpec extends AnyFunSuite {
     val tcBefore = rows(tc)
     val before = (3 to a.kMax).map(k => (order(a, k), directory(a, k)))
     val c = a.copy()
-    c.level(3)
     val rnd = new Random(5)
     for (_ <- 0 until 40) {
       val e = rnd.nextInt(c.m)
@@ -175,7 +211,6 @@ class KSpanTableSpec extends AnyFunSuite {
   test("equality ignores the order of ties within a block") {
     val a = oneLevel(5, 5, 5, 2)
     val b = oneLevel(5, 5, 5, 2)
-    a.level(3)
     a.setSpan(0, 3, 3)
     a.setSpan(0, 3, 5) // back to its span, now last in the block
     assert(order(a, 3) != order(b, 3))

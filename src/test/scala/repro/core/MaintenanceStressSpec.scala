@@ -36,8 +36,8 @@ class MaintenanceStressSpec extends AnyFunSuite {
           val (u, v, t) = all(rnd.nextInt(all.length))
           IndexMaintenance.insert(st, u, v, t)
         }
-        Canonical.assertFresh(st, tc, dc, s"stress seed=$seed insert $i")
         val rebuilt = MBA.build(st.snapshotTriangles)
+        Canonical.assertFresh(st, rebuilt, tc, dc, s"stress seed=$seed insert $i")
         val got = st.snapshotTable
         assert(got.trn.toSeq == rebuilt.trn.toSeq, "trussness diverged")
         for (e <- 0 until got.m)
@@ -57,14 +57,15 @@ class MaintenanceStressSpec extends AnyFunSuite {
     val dc = DCIndex.fromTable(st.tableView)
     for ((u, v, t) <- removed) {
       val r = IndexMaintenance.insert(st, u, v, t)
-      Canonical.assertFresh(st, tc, dc, s"planted clique insert ($u,$v,$t)")
+      val rebuilt = MBA.build(st.snapshotTriangles)
+      Canonical.assertFresh(st, rebuilt, tc, dc, s"planted clique insert ($u,$v,$t)")
       maxVerified = math.max(maxVerified, r.verifiedKs)
       maxRegionTris = math.max(maxRegionTris, r.regionTris)
       // Lemma 5 sees each candidate at most once per level that the filter
       // of k leaves, 3..trn(e0)
       val levels = math.max(0, st.tableView.trn(st.edgeId(u, v)) - 2)
       assert(r.lemma5Skips <= r.candidateTris * levels, s"insert ($u,$v,$t): $r")
-      assert(st.snapshotTable == MBA.build(st.snapshotTriangles), s"diverged after insert ($u,$v,$t)")
+      assert(st.snapshotTable == rebuilt, s"diverged after insert ($u,$v,$t)")
     }
     assert(maxVerified >= 10, s"no reinsert verified 10 levels: at most $maxVerified")
     assert(maxRegionTris > 0, "no reinsert peeled a local triangle")

@@ -43,6 +43,17 @@ object TestGraphs {
     (TemporalGraph.fromInteractions(all.diff(removed)), removed)
   }
 
+  /** A table with the trussness `trn` and the k-span rows `spans`, written
+    * through [[KSpanTable.allocate]] and `setSpan` in `(e, slot)` order, so
+    * its level orders are built as the entries arrive, in no span order.
+    */
+  def table(trn: Array[Int], spans: Array[Array[Int]], deltaMax: Int): KSpanTable = {
+    require(trn.length == spans.length, "one k-span row per edge")
+    val t = KSpanTable.allocate(trn, deltaMax)
+    for (e <- trn.indices; i <- spans(e).indices) t.setSpan(e, i + 3, spans(e)(i))
+    t
+  }
+
   /** Brute-force edge set of T_{k,δ}: fixpoint peeling over δ-triangles. */
   def bruteTruss(ts: TriangleSet, k: Int, delta: Int): Set[Int] =
     repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.mts(i) <= delta)

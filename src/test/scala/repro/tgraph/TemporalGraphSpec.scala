@@ -82,4 +82,25 @@ class TemporalGraphSpec extends AnyFunSuite {
     // an id of Int.MaxValue would overflow the graph's nVertexIds
     intercept[IllegalArgumentException](new TemporalGraph(Array(TEdge(0, Int.MaxValue, Array(1)))))
   }
+
+  test("TEdge timestamps must be strictly increasing") {
+    // unsorted stamps read tMin = tMax = 5 off the graph below, whose
+    // range is [1, 9]; descending ones slipped past the range guard
+    for (bad <- Seq(Array(9, 1), Array(Int.MaxValue - 1, -5), Array(3, 3), Array(1, 4, 4, 7), Array(1, 5, 2)))
+      intercept[IllegalArgumentException](TEdge(0, 1, bad))
+    for (ok <- Seq(Array(7), Array(-5, Int.MaxValue - 1), Array(Int.MinValue, 0, Int.MaxValue)))
+      assert(TEdge(0, 1, ok).ts.sameElements(ok))
+    val g = new TemporalGraph(Array(TEdge(0, 1, Array(1, 9)), TEdge(1, 2, Array(5))))
+    assert(g.tMin == 1 && g.tMax == 9)
+  }
+
+  test("a static pair given as two edges is rejected at construction") {
+    val e = intercept[IllegalArgumentException](new TemporalGraph(Array(
+      TEdge(0, 1, Array(1)), TEdge(0, 1, Array(2)), TEdge(0, 2, Array(1)), TEdge(1, 2, Array(1)))))
+    assert(e.getMessage.contains("edges 0 and 1"))
+    // the same pair in another order, away from the front of the rows
+    intercept[IllegalArgumentException](new TemporalGraph(Array(
+      TEdge(2, 7, Array(1)), TEdge(0, 7, Array(1)), TEdge(2, 5, Array(1)), TEdge(2, 7, Array(4)))))
+    assert(new TemporalGraph(Array(TEdge(0, 1, Array(1)), TEdge(0, 2, Array(2)), TEdge(1, 2, Array(1)))).m == 3)
+  }
 }
