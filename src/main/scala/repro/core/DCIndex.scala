@@ -45,10 +45,17 @@ final class DCNode private[core] (val k: Int, val delta: Int, val parent: Int,
   * `T_{k,δ} \ T_{k+1,δ}`, is filtered from the suffix of `E_k` into a copy.
   * Since the blocks move when the table changes, every read — `query`,
   * `nodes`, the lookup runs, `totalEdgeEntries`, `approxBytes` — first
-  * derives the tree again if the table counts a mutation since the last
-  * derivation. A DC over a table that §VI maintenance repairs is therefore
-  * current after every insertion, as TC is; a [[DCNode]] read from `nodes`
-  * is valid until the table's next mutation.
+  * brings the tree up to date if the table counts a mutation since the
+  * last derivation. Row k reads only levels k and k + 1 and row k + 1's
+  * lookup runs, so with K the highest level that changed since then (each
+  * level keeps the mutation count of its last change), the rows above K
+  * are still current: they keep their nodes, ids and runs, and only rows
+  * K down to 3 are derived again, after the node list is cut back to row
+  * K's first node. A change of `kMax` moves the root, and every row is
+  * derived again. A table has one DC ([[DCIndex.fromTable]]), so a DC over
+  * a table that §VI maintenance repairs is current after every insertion,
+  * as TC is, at the cost of the rows the insertion reached; a [[DCNode]]
+  * read from `nodes` is valid until the table's next mutation.
   *
   * The per-row compressed lookup table maps δ to the representative tree
   * node by binary search, so DC-Query costs `O(log δmax + |T_{k,δ}|)` —
@@ -58,21 +65,35 @@ final class DCNode private[core] (val k: Int, val delta: Int, val parent: Int,
   */
 final class DCIndex private (table: KSpanTable) {
   private var derivedAt = -1L
-  private var ns: Array[DCNode] = _
+  private var top = -1 // kMax at the last derivation
+  // the kept nodes, ids [0, nn): rows kMax down to 3, row k from rowFrom(k − 3)
+  private var ns = new Array[DCNode](16)
+  private var nn = 0
+  private var rowFrom: Array[Int] = _
   // row k−3 of the lookup: the runs' ascending δ starts and, at the same
   // positions, their representative node ids; binary search on δ
   private var starts: Array[Array[Int]] = _
   private var reps: Array[Array[Int]] = _
+  // what the last derivation rebuilt
+  private var rows = 0
+  private var rebuilt = 0
 
   def m: Int = table.m
   def kMax: Int = table.kMax
   def deltaMax: Int = table.deltaMax
 
-  def nodes: Array[DCNode] = { current(); ns }
+  /** A copy of the kept nodes, indexed by node id. */
+  def nodes: Array[DCNode] = { current(); java.util.Arrays.copyOf(ns, nn) }
   /** The root (kMax, 0), derived first. */
   def rootId: Int = 0
   def runStarts: Array[Array[Int]] = { current(); starts }
   def runNodes: Array[Array[Int]] = { current(); reps }
+
+  /** Rows and nodes that the last derivation rebuilt: the DC nodes an
+    * insertion touched.
+    */
+  private[repro] def rowsDerived: Int = { current(); rows }
+  private[repro] def nodesDerived: Int = { current(); rebuilt }
 
   /** Edge ids of `T_{k,δ}`: resolve the representative node, then union the
     * IESes on the path to the root (disjoint by construction).
@@ -103,26 +124,54 @@ final class DCIndex private (table: KSpanTable) {
   }
 
   /** Total number of edge entries stored in IESes (Table II "total edge #"). */
-  def totalEdgeEntries: Long = nodes.iterator.map(_.size.toLong).sum
+  def totalEdgeEntries: Long = { current(); ns.iterator.take(nn).map(_.size.toLong).sum }
 
   /** Approximate serialized size in bytes: 8 per IES edge entry + 16 per
     * tree node + 8 per lookup run.
     */
   def approxBytes: Long =
-    totalEdgeEntries * 8L + nodes.length * 16L + runStarts.iterator.map(_.length.toLong).sum * 8L
+    totalEdgeEntries * 8L + nn * 16L + runStarts.iterator.map(_.length.toLong).sum * 8L
 
-  private def current(): Unit = if (derivedAt != table.mutations) derive()
-
-  private def derive(): Unit = {
+  /** Derive again the rows at or below K, the highest level changed since
+    * the last derivation, or every row if `kMax` moved, as the root moves
+    * with it.
+    */
+  private def current(): Unit = if (derivedAt != table.mutations) {
+    var hi = table.kMax
+    if (hi == top) while (hi >= 3 && table.level(hi).changedAt <= derivedAt) hi -= 1
     derivedAt = table.mutations
-    val kMax = table.kMax
-    val kept = new scala.collection.mutable.ArrayBuffer[DCNode]
-    starts = new Array[Array[Int]](math.max(0, kMax - 2))
-    reps = new Array[Array[Int]](starts.length)
-    if (kMax < 3) kept += new DCNode(3, 0, -1, Array.emptyIntArray, 0, 0)
+    derive(hi)
+  }
 
-    var k = kMax
+  private def push(n: DCNode): Int = {
+    if (nn == ns.length) ns = java.util.Arrays.copyOf(ns, 2 * nn)
+    ns(nn) = n
+    nn += 1
+    nn - 1
+  }
+
+  /** Rows `hi` down to 3. Row k reads only levels k and k + 1 and row
+    * k + 1's lookup runs, so the rows above `hi` keep their nodes, ids and
+    * runs; their nodes are a prefix of the node list, cut at row `hi`'s
+    * first node.
+    */
+  private def derive(hi: Int): Unit = {
+    val kMax = table.kMax
+    val before = nn
+    if (kMax != top) {
+      top = kMax
+      starts = new Array[Array[Int]](math.max(0, kMax - 2))
+      reps = new Array[Array[Int]](starts.length)
+      rowFrom = new Array[Int](starts.length)
+      nn = 0
+    }
+    if (hi >= 3) nn = rowFrom(hi - 3)
+    val first = nn
+    if (kMax < 3 && nn == 0) push(new DCNode(3, 0, -1, Array.emptyIntArray, 0, 0))
+
+    var k = hi
     while (k >= 3) {
+      rowFrom(k - 3) = nn
       val row = table.level(k)
       val hasV = k < kMax
       val up = if (hasV) table.level(k + 1) else null
@@ -139,8 +188,7 @@ final class DCIndex private (table: KSpanTable) {
         val from = if (inD) row.start(b) else row.size // E_k[from, size) = T_{k,δ}
         var r = -1
         if (!hasV && d == 0) { // the root (kMax, 0): its full edge set
-          r = kept.length
-          kept += new DCNode(k, d, -1, row.edgeArray, from, row.size)
+          r = push(new DCNode(k, d, -1, row.edgeArray, from, row.size))
         } else {
           var wV = Int.MaxValue
           var pUp = -1
@@ -163,12 +211,10 @@ final class DCIndex private (table: KSpanTable) {
               // own, since no span can stand for +∞ when δ is Int.MaxValue
               while (p < row.size) { val e = row.edge(p); if (k >= table.trn(e) || table.span(e, k + 1) > d) buf += e; p += 1 }
               val ies = buf.result()
-              r = kept.length
-              kept += new DCNode(k, d, pUp, ies, 0, ies.length)
+              r = push(new DCNode(k, d, pUp, ies, 0, ies.length))
             }
           } else { // horizontal parent (k, δ−1): the block of span δ
-            r = kept.length
-            kept += new DCNode(k, d, last, row.edgeArray, from, row.end(b))
+            r = push(new DCNode(k, d, last, row.edgeArray, from, row.end(b)))
           }
         }
         // one run per maximal range of δ with the same representative; the
@@ -183,18 +229,21 @@ final class DCIndex private (table: KSpanTable) {
       reps(k - 3) = runN.result()
       k -= 1
     }
-    ns = kept.toArray
+    rows = math.max(0, hi - 2)
+    rebuilt = nn - first
+    if (nn < before) java.util.Arrays.fill(ns.asInstanceOf[Array[AnyRef]], nn, before, null)
   }
 }
 
 object DCIndex {
 
-  /** A DC over `t`, derived here from the table's level orders as they
-    * stand, and again on its first read after `t` changes.
+  /** The one DC over `t`, made on the first call and kept on the table, as
+    * TC is a view of it: current as `t` stands, and kept current row by
+    * row on its first read after `t` changes.
     */
   def fromTable(t: KSpanTable): DCIndex = {
-    val dc = new DCIndex(t)
-    dc.current()
-    dc
+    if (t.dc == null) t.dc = new DCIndex(t)
+    t.dc.current()
+    t.dc
   }
 }

@@ -39,7 +39,13 @@ package repro.core
   * [[allocate]] or by [[copy]] has exact-length arrays. `kMax`
   * and `deltaMax` are fields that the mutators keep current, and every
   * mutator call adds one to [[mutations]], so a reader that derived
-  * something from the level orders can tell that it is stale.
+  * something from the level orders can tell that it is stale. Each level
+  * also keeps the count at its last change (`Level.changedAt`): a
+  * `setSpan` that changes a span stamps its level, and a `growRow` every
+  * level it enters, so the reader can tell which levels are stale.
+  * `appendEdge` and `raiseDeltaMax` change no level. The table holds its
+  * one [[DCIndex]], which reads those stamps to derive again only the
+  * rows they reach; a [[copy]] starts without one.
   */
 final class KSpanTable private (
     private var trnBuf: Array[Int],
@@ -53,6 +59,8 @@ final class KSpanTable private (
   private var levels: Array[Level] = Array.empty
   private var moveNs = 0L
   private var mods = 0L
+  // the table's one DC, made by DCIndex.fromTable; a copy has none
+  private[core] var dc: DCIndex = _
 
   def m: Int = live
   def trn: Array[Int] = trnBuf
@@ -194,6 +202,13 @@ final class KSpanTable private (
     /** An empty order with room for `capacity` entries. */
     private[KSpanTable] def this(capacity: Int) = this(new Array[Int](capacity), 0, new Array[Int](4), new Array[Int](4), 0)
 
+    private var stamp = 0L
+
+    /** The table's [[mutations]] count at this order's last change: an
+      * `add` or a `move` stamps it.
+      */
+    private[core] def changedAt: Long = stamp
+
     /** A clone of this order, for the copy `t` of its table. */
     private[KSpanTable] def cloneFor(t: KSpanTable): t.Level = new t.Level(es.clone(), n, keys.clone(), offs.clone(), nb)
 
@@ -245,6 +260,7 @@ final class KSpanTable private (
       * move.
       */
     private[KSpanTable] def add(e: Int, d: Int): Unit = {
+      stamp = mods
       if (n == es.length) es = java.util.Arrays.copyOf(es, n + (n >> 3) + 4)
       es(n) = e
       n += 1
@@ -254,6 +270,7 @@ final class KSpanTable private (
 
     /** A changed entry: `e` moves from span `old` to span `nu`. */
     private[KSpanTable] def move(e: Int, old: Int, nu: Int): Unit = {
+      stamp = mods
       val b = block(old)
       var p = offs(b)
       while (es(p) != e) p += 1

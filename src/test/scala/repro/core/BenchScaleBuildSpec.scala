@@ -19,10 +19,10 @@ class BenchScaleBuildSpec extends AnyFunSuite {
       val dba = DBA.build(ts)
       assert(mba == dba, s"$name: DBA diverged from MBA")
       val ref = Canonical.levelsOf(mba)
-      assert(Canonical.levels(mba) == ref, s"$name: MBA's level orders diverged from the reference")
-      assert(Canonical.levels(dba) == ref, s"$name: DBA's level orders diverged from the reference")
-      assert(Canonical.tc(TCIndex.fromTable(mba)) == Canonical.tc(TCIndex.fromTable(dba)), s"$name: TC of MBA != TC of DBA")
-      assert(Canonical.dc(DCIndex.fromTable(mba)) == Canonical.dc(DCIndex.fromTable(dba)), s"$name: DC of MBA != DC of DBA")
+      Canonical.same(Canonical.levels(mba), ref, s"$name: MBA's level orders diverged from the reference")
+      Canonical.same(Canonical.levels(dba), ref, s"$name: DBA's level orders diverged from the reference")
+      Canonical.same(Canonical.tc(TCIndex.fromTable(mba)), Canonical.tc(TCIndex.fromTable(dba)), s"$name: TC of MBA != TC of DBA")
+      Canonical.same(Canonical.dc(DCIndex.fromTable(mba)), Canonical.dc(DCIndex.fromTable(dba)), s"$name: DC of MBA != DC of DBA")
       info(s"kMax ${mba.kMax}, ${ref.map(_._1.toLong).sum} entries in ${ref.map(_._2.size).sum} blocks")
     }
   }

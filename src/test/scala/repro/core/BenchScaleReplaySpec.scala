@@ -1,0 +1,58 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
+import repro.core.maintenance.{DynamicState, IndexMaintenance}
+import repro.tgraph.{TemporalGraph, TemporalGraphGen}
+import repro.triangles.DriverTriangles
+
+/** §VI maintenance at the scale of the benchmark: the wikitalk-lite analog
+  * minus the held-out sample that perfbench's `insert` workload reinserts
+  * (the generator at the run's seed, 3,000 interactions picked by
+  * `Random(seed + 7)`), reinserted one at a time in sample order while one
+  * TC and one DC are held over the live table. The sample holds new-edge
+  * reinserts into the planted core, the slowest of the workload, each of
+  * which verifies dozens of levels. Every 50 inserts the held DC, kept
+  * current row by row, equals one derived from scratch over a copy of the
+  * table; every 500 inserts and after the last, [[Canonical.assertFresh]]
+  * holds the live table and both indexes to an MBA rebuild.
+  */
+class BenchScaleReplaySpec extends AnyFunSuite {
+
+  private val seed = 71
+  private val sampleSize = 3000
+
+  test(s"wikitalk-lite seed=$seed: reinsert perfbench's $sampleSize held-out interactions, kept DC == fresh") {
+    val g0 = TemporalGraphGen.generate(TemporalGraphGen.byName("wikitalk-lite").copy(seed = seed))
+    val all = g0.edges.iterator.flatMap(e => e.ts.iterator.map(t => (e.u, e.v, t))).toArray
+    val r = new Random(seed + 7)
+    val picked = new java.util.BitSet(all.length)
+    val sample = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Int)]
+    while (sample.length < sampleSize) {
+      val i = r.nextInt(all.length)
+      if (!picked.get(i)) { picked.set(i); sample += all(i) }
+    }
+    val g = TemporalGraph.fromInteractions(all.indices.filterNot(picked.get).map(all))
+    val ts = DriverTriangles.enumerate(g)
+    val st = DynamicState.fromGraph(g, ts, MBA.build(ts))
+    val tc = TCIndex.fromTable(st.tableView)
+    val dc = DCIndex.fromTable(st.tableView)
+
+    var maxVerified = 0
+    var newEdges = 0
+    var rederived = 0.0 // the share of the nodes each insert derived again, summed
+    for (((u, v, t), i) <- sample.zipWithIndex) {
+      val rep = IndexMaintenance.insert(st, u, v, t)
+      maxVerified = math.max(maxVerified, rep.verifiedKs)
+      if (rep.newStaticEdge) newEdges += 1
+      rederived += dc.nodesDerived.toDouble / dc.nodes.length
+      val ctx = s"insert $i ($u,$v,$t)"
+      if ((i + 1) % 50 == 0)
+        Canonical.same(Canonical.dc(dc), Canonical.dc(DCIndex.fromTable(st.tableView.copy())), s"$ctx: the kept DC diverged from a fresh one")
+      if ((i + 1) % 500 == 0 || i == sample.length - 1)
+        Canonical.assertFresh(st, MBA.build(st.snapshotTriangles), tc, dc, ctx)
+    }
+    assert(newEdges > 0 && maxVerified >= 40, s"no many-level new-edge reinsert: $newEdges new edges, at most $maxVerified levels")
+    info(f"$newEdges new-edge reinserts, at most $maxVerified levels verified, mean share of DC nodes derived again ${rederived / sample.length}%.3f")
+  }
+}

@@ -59,6 +59,11 @@ object Canonical {
     (idx.m, nodes, cell(idx.rootId), idx.runStarts.indices.map(r => idx.runStarts(r).toSeq.zip(idx.runNodes(r).map(cell))))
   }
 
+  /** `a == b`, failing with `clue` alone: the canonical forms and answers
+    * of a bench-scale graph are too large to print in a failure message.
+    */
+  def same[A](a: A, b: A, clue: => String): Unit = if (a != b) fail(clue)
+
   /** After an insertion: every level order of the live table equals the
     * reference [[levelsOf]], and so does every level order of `fresh`, the
     * caller's MBA rebuild from `snapshotTriangles`, whose spans the live
@@ -70,19 +75,19 @@ object Canonical {
     */
   def assertFresh(st: DynamicState, fresh: KSpanTable, tc: TCIndex, dc: DCIndex, ctx: String): Unit = {
     val live = levels(st.tableView)
-    assert(live == levelsOf(st.tableView), s"$ctx: live level orders diverged from the reference")
-    assert(levels(fresh) == levelsOf(fresh), s"$ctx: the rebuild's level orders diverged from the reference")
-    assert(live == levels(fresh), s"$ctx: live level orders diverged from the rebuild's")
+    same(live, levelsOf(st.tableView), s"$ctx: live level orders diverged from the reference")
+    same(levels(fresh), levelsOf(fresh), s"$ctx: the rebuild's level orders diverged from the reference")
+    same(live, levels(fresh), s"$ctx: live level orders diverged from the rebuild's")
     val exact = TCIndex.fromTable(fresh)
-    assert(this.tc(tc) == this.tc(exact), s"$ctx: TC over the live table diverged from a TC over the rebuild")
+    same(this.tc(tc), this.tc(exact), s"$ctx: TC over the live table diverged from a TC over the rebuild")
     val exactDc = DCIndex.fromTable(fresh)
     for (k <- 2 to fresh.kMax + 1; d <- Seq(0, fresh.deltaMax / 3, fresh.deltaMax)) {
-      assert(tc.query(k, d).sorted.toSeq == exact.query(k, d).sorted.toSeq,
+      same(tc.query(k, d).sorted.toSeq, exact.query(k, d).sorted.toSeq,
         s"$ctx: TC over the live table answered (k=$k, δ=$d) unlike a TC over the rebuild")
-      assert(dc.query(k, d).sorted.toSeq == exactDc.query(k, d).sorted.toSeq,
+      same(dc.query(k, d).sorted.toSeq, exactDc.query(k, d).sorted.toSeq,
         s"$ctx: DC over the live table answered (k=$k, δ=$d) unlike a DC over the rebuild")
     }
-    assert(this.dc(dc) == this.dc(exactDc), s"$ctx: DC over the live table diverged from a DC over the rebuild")
-    assert(this.dc(exactDc) == this.dc(GridDC.derive(fresh)), s"$ctx: DC over the rebuild diverged from the grid reference")
+    same(this.dc(dc), this.dc(exactDc), s"$ctx: DC over the live table diverged from a DC over the rebuild")
+    same(this.dc(exactDc), this.dc(GridDC.derive(fresh)), s"$ctx: DC over the rebuild diverged from the grid reference")
   }
 }

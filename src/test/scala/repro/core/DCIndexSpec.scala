@@ -148,6 +148,10 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
     }, minTests = 300)
   }
 
+  /** The held DC equals a DC derived from scratch over a copy of `t`. */
+  private def assertFromScratch(dc: DCIndex, t: KSpanTable, ctx: String): Unit =
+    assert(Canonical.dc(dc) == Canonical.dc(DCIndex.fromTable(t.copy())), s"$ctx: the kept DC diverged from a fresh one")
+
   test("property: a DC over a table that changes equals a fresh one and the grid reference") {
     checkProp(Prop.forAll(tableGen, Gen.listOfN(12, Gen.choose(0, Int.MaxValue))) { (t, picks) =>
       val dc = DCIndex.fromTable(t)
@@ -161,7 +165,7 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
           val hi = if (k < t.trn(e)) t.span(e, k + 1) else t.deltaMax
           t.setSpan(e, k, lo + (p / 7) % (hi - lo + 1))
           val ctx = s"after k-span ($e, $k) := ${t.span(e, k)}"
-          assert(Canonical.dc(dc) == Canonical.dc(DCIndex.fromTable(t)), s"$ctx: a held DC diverged from a fresh one")
+          assertFromScratch(dc, t, ctx)
           assert(Canonical.dc(dc) == Canonical.dc(GridDC.derive(t)), s"$ctx: a held DC diverged from the grid reference")
           for (k2 <- 2 to t.kMax + 1; d <- 0 to t.deltaMax + 1)
             assert(dc.query(k2, d).sorted.toSeq == t.trussEdges(k2, d).toSeq, s"$ctx: k=$k2 d=$d")
@@ -169,6 +173,70 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
       }
       true
     }, minTests = 100)
+  }
+
+  test("fromTable returns the table's one DC, and a copy of the table has its own") {
+    val t = MBA.build(TestGraphs.tris(TestGraphs.running))
+    val dc = DCIndex.fromTable(t)
+    assert(DCIndex.fromTable(t) eq dc)
+    assert(!(DCIndex.fromTable(t.copy()) eq dc))
+  }
+
+  test("a setSpan at level k re-derives rows k..3 and keeps the nodes of the rows above k") {
+    val t = MBA.build(TestGraphs.tris(TestGraphs.plantedCore._1))
+    val dc = DCIndex.fromTable(t)
+    assert(dc.rowsDerived == t.kMax - 2 && dc.nodesDerived == dc.nodes.length)
+    for (k <- 3 to t.kMax) {
+      // an edge whose k-span can move between its neighbours' in k
+      def lo(e: Int) = if (k > 3) t.span(e, k - 1) else 0
+      def hi(e: Int) = if (k < t.trn(e)) t.span(e, k + 1) else t.deltaMax
+      val e = (0 until t.m).find(e => t.trn(e) >= k && lo(e) < hi(e)).get
+      val before = dc.nodes
+      t.setSpan(e, k, if (t.span(e, k) == lo(e)) hi(e) else lo(e))
+      val after = dc.nodes
+      assert(dc.rowsDerived == k - 2, s"k=$k")
+      assert(dc.nodesDerived == after.count(_.k <= k), s"k=$k")
+      val kept = before.takeWhile(_.k > k)
+      assert(kept.length == after.count(_.k > k) && kept.indices.forall(i => after(i) eq kept(i)),
+        s"k=$k: the nodes of the rows above k were derived again")
+      assertFromScratch(dc, t, s"after a setSpan at k=$k")
+    }
+  }
+
+  test("appendEdge, raiseDeltaMax and an unchanged span re-derive nothing") {
+    val t = MBA.build(TestGraphs.tris(TestGraphs.plantedCore._1))
+    val dc = DCIndex.fromTable(t)
+    val before = dc.nodes
+    val e = (0 until t.m).find(t.trn(_) >= 5).get
+    for ((what, mutate) <- Seq[(String, () => Unit)](
+        "appendEdge" -> (() => t.appendEdge()),
+        "raiseDeltaMax" -> (() => t.raiseDeltaMax(t.deltaMax + 1)),
+        "setSpan to the same span" -> (() => t.setSpan(e, 5, t.span(e, 5))))) {
+      val at = t.mutations
+      mutate()
+      assert(t.mutations > at, what)
+      assert(dc.rowsDerived == 0 && dc.nodesDerived == 0, what)
+      val after = dc.nodes
+      assert(after.length == before.length && after.indices.forall(i => after(i) eq before(i)), what)
+      assertFromScratch(dc, t, s"after $what")
+    }
+  }
+
+  test("a growRow re-derives the rows up to the top new slot, and every row when it raises kMax") {
+    val t = MBA.build(TestGraphs.tris(TestGraphs.plantedCore._1))
+    val dc = DCIndex.fromTable(t)
+    val kMax = t.kMax
+    t.appendEdge()
+    t.trn(t.m - 1) = 6
+    t.growRow(t.m - 1, t.deltaMax)
+    assert(dc.rowsDerived == 4 && t.kMax == kMax)
+    assertFromScratch(dc, t, "after a growRow to trn 6")
+    t.appendEdge()
+    t.trn(t.m - 1) = kMax + 1
+    t.growRow(t.m - 1, 0)
+    assert(t.kMax == kMax + 1)
+    assert(dc.rowsDerived == kMax - 1 && dc.nodesDerived == dc.nodes.length)
+    assertFromScratch(dc, t, "after a growRow that raised kMax")
   }
 
   test("wide timestamps: a grid of more than Int.MaxValue cells answers like TC and the table") {
