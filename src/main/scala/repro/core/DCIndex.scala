@@ -57,6 +57,17 @@ final class DCNode private[core] (val k: Int, val delta: Int, val parent: Int,
   * as TC is, at the cost of the rows the insertion reached; a [[DCNode]]
   * read from `nodes` is valid until the table's next mutation.
   *
+  * A horizontal node's parent is the kept node of the previous column of
+  * its row, whose block follows its own in `E_k`, so a chain of horizontal
+  * nodes up to a vertical node or the root is one contiguous range of the
+  * level's array. Beside each node the index keeps the end of the maximal
+  * run that starts at its slice and the first ancestor past it, both set
+  * when the node is pushed, from its parent's, and DC-Query sizes and
+  * copies its answer one run at a time rather than one node at a time
+  * (about 1.5 runs for a 41-node path on wikitalk-lite's Fig 11/12 grid).
+  * A node's columns name only ancestors, which are derived before it, so
+  * the rows that a re-derivation keeps keep their columns too.
+  *
   * The per-row compressed lookup table maps δ to the representative tree
   * node by binary search, so DC-Query costs `O(log δmax + |T_{k,δ}|)` —
   * the same order as TC-Query (Theorem 4) — while the edge storage is
@@ -69,6 +80,11 @@ final class DCIndex private (table: KSpanTable) {
   // the kept nodes, ids [0, nn): rows kMax down to 3, row k from rowFrom(k − 3)
   private var ns = new Array[DCNode](16)
   private var nn = 0
+  // beside node i: the end of the maximal contiguous run of IESes that
+  // starts at its slice and goes on through its ancestors' slices in the
+  // same array, and the first ancestor past that run (−1 past the root)
+  private var hopEnd = new Array[Int](16)
+  private var hopNext = new Array[Int](16)
   private var rowFrom: Array[Int] = _
   // row k−3 of the lookup: the runs' ascending δ starts and, at the same
   // positions, their representative node ids; binary search on δ
@@ -96,32 +112,59 @@ final class DCIndex private (table: KSpanTable) {
   private[repro] def nodesDerived: Int = { current(); rebuilt }
 
   /** Edge ids of `T_{k,δ}`: resolve the representative node, then union the
-    * IESes on the path to the root (disjoint by construction).
+    * IESes on the path to the root (disjoint by construction), one
+    * contiguous run of in-place IESes per copy.
     */
   def query(k: Int, delta: Int): Array[Int] = {
     if (k <= 2) return Array.range(0, m)
-    if (k > kMax) return Array.emptyIntArray
-    current()
-    // the run with the largest start <= delta (starts are distinct)
-    val i = java.util.Arrays.binarySearch(starts(k - 3), delta)
-    val found = if (i >= 0) i else -i - 2
-    if (found < 0) return Array.emptyIntArray
-    val node = reps(k - 3)(found)
-    // two passes: size the result exactly, then bulk-copy the path IESes
+    val node = representative(k, lookupRun(k, delta))
+    // two passes: size the result exactly, then bulk-copy the path's runs
     var total = 0
     var cur = node
-    while (cur >= 0) { total += ns(cur).size; cur = ns(cur).parent }
+    while (cur >= 0) { total += hopEnd(cur) - ns(cur).from; cur = hopNext(cur) }
     val out = new Array[Int](total)
     var off = 0
     cur = node
     while (cur >= 0) {
       val n = ns(cur)
-      System.arraycopy(n.src, n.from, out, off, n.size)
-      off += n.size
-      cur = n.parent
+      val len = hopEnd(cur) - n.from
+      System.arraycopy(n.src, n.from, out, off, len)
+      off += len
+      cur = hopNext(cur)
     }
     out
   }
+
+  /** How [[query]] answers (k, δ), with no counter on the read path: the
+    * lookup run of row k that holds δ, its representative node, the number
+    * of nodes on the path from it to the root, and the length of each run
+    * copied, which sum to the answer's length. `k ≤ 2` and `k > kMax` are
+    * answered without the tree: run and node −1, no path.
+    */
+  def explain(k: Int, delta: Int): DCIndex.Explain = {
+    val run = lookupRun(k, delta)
+    val node = representative(k, run)
+    var pathNodes = 0
+    var cur = node
+    while (cur >= 0) { pathNodes += 1; cur = ns(cur).parent }
+    val runs = Vector.newBuilder[Int]
+    cur = node
+    while (cur >= 0) { runs += hopEnd(cur) - ns(cur).from; cur = hopNext(cur) }
+    DCIndex.Explain(run, node, pathNodes, runs.result())
+  }
+
+  /** The run of row k's lookup with the largest start ≤ δ (starts are
+    * distinct), or −1 if δ lies before the first or row k is not stored.
+    */
+  private def lookupRun(k: Int, delta: Int): Int =
+    if (k <= 2 || k > kMax) -1
+    else {
+      current()
+      val i = java.util.Arrays.binarySearch(starts(k - 3), delta)
+      if (i >= 0) i else -i - 2
+    }
+
+  private def representative(k: Int, run: Int): Int = if (run < 0) -1 else reps(k - 3)(run)
 
   /** Total number of edge entries stored in IESes (Table II "total edge #"). */
   def totalEdgeEntries: Long = { current(); ns.iterator.take(nn).map(_.size.toLong).sum }
@@ -143,8 +186,24 @@ final class DCIndex private (table: KSpanTable) {
     derive(hi)
   }
 
+  /** Appends `n` and sets its run columns from its parent's, which is
+    * pushed before it: the run goes on through the parent's if the
+    * parent's slice lies in the same array and begins where `n`'s ends.
+    */
   private def push(n: DCNode): Int = {
-    if (nn == ns.length) ns = java.util.Arrays.copyOf(ns, 2 * nn)
+    if (nn == ns.length) {
+      ns = java.util.Arrays.copyOf(ns, 2 * nn)
+      hopEnd = java.util.Arrays.copyOf(hopEnd, 2 * nn)
+      hopNext = java.util.Arrays.copyOf(hopNext, 2 * nn)
+    }
+    val p = n.parent
+    if (p >= 0 && (ns(p).src eq n.src) && ns(p).from == n.until) {
+      hopEnd(nn) = hopEnd(p)
+      hopNext(nn) = hopNext(p)
+    } else {
+      hopEnd(nn) = n.until
+      hopNext(nn) = p
+    }
     ns(nn) = n
     nn += 1
     nn - 1
@@ -236,6 +295,13 @@ final class DCIndex private (table: KSpanTable) {
 }
 
 object DCIndex {
+
+  /** What [[DCIndex.explain]] reports for one (k, δ): the lookup run's
+    * index in row k, the representative node's id, the number of nodes on
+    * its path to the root, and the length of each contiguous run that the
+    * query copies, from the representative up.
+    */
+  final case class Explain(run: Int, node: Int, pathNodes: Int, runs: Vector[Int])
 
   /** The one DC over `t`, made on the first call and kept on the table, as
     * TC is a view of it: current as `t` stands, and kept current row by

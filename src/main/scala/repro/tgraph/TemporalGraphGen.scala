@@ -165,17 +165,4 @@ object TemporalGraphGen {
 
   def byName(name: String): GenConfig =
     datasets.find(_.name == name).getOrElse(sys.error(s"unknown dataset analog: $name"))
-
-  /** A small random temporal graph for property tests. */
-  def randomSmall(rnd: Random, nV: Int = 14, pEdge: Double = 0.35,
-                  horizon: Int = 30, maxStamps: Int = 3): TemporalGraph = {
-    val rows = for {
-      u <- 0 until nV
-      v <- (u + 1) until nV
-      if rnd.nextDouble() < pEdge
-      k = 1 + rnd.nextInt(maxStamps)
-      t <- Seq.fill(k)(rnd.nextInt(horizon))
-    } yield (u, v, t)
-    TemporalGraph.fromInteractions(rows)
-  }
 }

@@ -14,8 +14,10 @@ import repro.triangles.DriverTriangles
   * reinserts into the planted core, the slowest of the workload, each of
   * which verifies dozens of levels. Every 50 inserts the held DC, kept
   * current row by row, equals one derived from scratch over a copy of the
-  * table; every 500 inserts and after the last, [[Canonical.assertFresh]]
-  * holds the live table and both indexes to an MBA rebuild.
+  * table, and its answers on the Fig 11/12 grid equal the node-by-node
+  * union along each representative's path; every 500 inserts and after
+  * the last, [[Canonical.assertFresh]] holds the live table and both
+  * indexes to an MBA rebuild.
   */
 class BenchScaleReplaySpec extends AnyFunSuite {
 
@@ -47,8 +49,12 @@ class BenchScaleReplaySpec extends AnyFunSuite {
       if (rep.newStaticEdge) newEdges += 1
       rederived += dc.nodesDerived.toDouble / dc.nodes.length
       val ctx = s"insert $i ($u,$v,$t)"
-      if ((i + 1) % 50 == 0)
+      if ((i + 1) % 50 == 0) {
         Canonical.same(Canonical.dc(dc), Canonical.dc(DCIndex.fromTable(st.tableView.copy())), s"$ctx: the kept DC diverged from a fresh one")
+        val ref = GridDC.of(dc)
+        for ((k, d) <- TestGraphs.fig11Grid(dc.kMax, dc.deltaMax))
+          Canonical.same(dc.query(k, d).toSeq, ref.query(k, d).toSeq, s"$ctx: the kept DC's run copies diverged from its node-by-node path at (k=$k, δ=$d)")
+      }
       if ((i + 1) % 500 == 0 || i == sample.length - 1)
         Canonical.assertFresh(st, MBA.build(st.snapshotTriangles), tc, dc, ctx)
     }

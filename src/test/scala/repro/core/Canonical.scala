@@ -46,7 +46,7 @@ object Canonical {
     * set, the root, and the lookup runs with their node's (k, δ).
     */
   def dc(idx: DCIndex): (Int, Map[(Int, Int), (Option[(Int, Int)], Set[Int])], (Int, Int), Seq[Seq[(Int, (Int, Int))]]) =
-    dc(GridDC.Result(idx.m, idx.nodes, idx.rootId, idx.runStarts, idx.runNodes))
+    dc(GridDC.of(idx))
 
   /** The same canonical form of a tree from the grid reference. */
   def dc(idx: GridDC.Result): (Int, Map[(Int, Int), (Option[(Int, Int)], Set[Int])], (Int, Int), Seq[Seq[(Int, (Int, Int))]]) = {

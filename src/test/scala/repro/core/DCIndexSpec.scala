@@ -129,6 +129,59 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
     }
   }
 
+  /** On every k in `3..kMax` and δ in `D_k ∪ {0, δmax}`: `query` equals
+    * the node-by-node union along the representative's path, in path order,
+    * and `explain` names a representative whose runs, no more than its path
+    * nodes, sum to the answer's length. Returns the cells' path nodes and
+    * runs, summed.
+    */
+  private def assertRunsMatchPath(dc: DCIndex, t: KSpanTable, ctx: String): (Long, Long) = {
+    val ref = GridDC.of(dc)
+    var pathNodes = 0L
+    var runs = 0L
+    for (k <- 3 to dc.kMax) {
+      val lv = t.level(k)
+      for (d <- ((0 until lv.blocks).map(lv.span) :+ 0 :+ dc.deltaMax).distinct) {
+        val got = dc.query(k, d)
+        assert(got.toSeq == ref.query(k, d).toSeq, s"$ctx: k=$k d=$d: the run copies diverged from the node-by-node path")
+        val ex = dc.explain(k, d)
+        assert(ex.node >= 0 && ex.node == dc.runNodes(k - 3)(ex.run), s"$ctx: k=$k d=$d: no representative")
+        assert(ex.runs.sum == got.length, s"$ctx: k=$k d=$d: run lengths ${ex.runs} for ${got.length} edges")
+        assert(ex.runs.nonEmpty && ex.runs.length <= ex.pathNodes, s"$ctx: k=$k d=$d: ${ex.runs.length} runs on ${ex.pathNodes} path nodes")
+        pathNodes += ex.pathNodes
+        runs += ex.runs.length
+      }
+    }
+    for (k <- Seq(2, dc.kMax + 1)) assert(dc.explain(k, 0) == DCIndex.Explain(-1, -1, 0, Vector.empty), s"$ctx: k=$k")
+    (pathNodes, runs)
+  }
+
+  /** A random graph of 4–18 vertices, any edge density and up to 4
+    * timestamps per edge.
+    */
+  private val graphGen = for {
+    seed <- Gen.choose(0, 1 << 20)
+    nV <- Gen.choose(4, 18)
+    pEdge <- Gen.choose(0.1, 0.8)
+    horizon <- Gen.choose(1, 60)
+    maxStamps <- Gen.choose(1, 4)
+  } yield TestGraphs.random(seed, nV, pEdge, horizon, maxStamps)
+
+  test("property: DC-Query's run copies equal the node-by-node path union, and explain adds up") {
+    checkProp(Prop.forAll(graphGen) { g =>
+      val t = MBA.build(TestGraphs.tris(g))
+      assertRunsMatchPath(DCIndex.fromTable(t), t, s"m=${g.m}")
+      true
+    }, minTests = 200)
+  }
+
+  test("planted 14-clique: every cell is answered, by fewer runs than path nodes") {
+    val t = MBA.build(TestGraphs.tris(TestGraphs.plantedCore._1))
+    val (pathNodes, runs) = assertRunsMatchPath(DCIndex.fromTable(t), t, "planted clique")
+    assert(runs < pathNodes, s"$runs runs on $pathNodes path nodes")
+    info(s"$runs runs on $pathNodes path nodes")
+  }
+
   /** A table of `m ≤ 24` edges, trussness 2..7 and k-spans nondecreasing
     * in k within `[0, 40]`, with an exact or a loosened `deltaMax`.
     */
@@ -167,6 +220,7 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
           val ctx = s"after k-span ($e, $k) := ${t.span(e, k)}"
           assertFromScratch(dc, t, ctx)
           assert(Canonical.dc(dc) == Canonical.dc(GridDC.derive(t)), s"$ctx: a held DC diverged from the grid reference")
+          assertRunsMatchPath(dc, t, ctx)
           for (k2 <- 2 to t.kMax + 1; d <- 0 to t.deltaMax + 1)
             assert(dc.query(k2, d).sorted.toSeq == t.trussEdges(k2, d).toSeq, s"$ctx: k=$k2 d=$d")
         }

@@ -18,7 +18,24 @@ object GridDC {
       */
     def approxBytes: Long =
       nodes.iterator.map(_.size.toLong).sum * 8L + nodes.length * 16L + runStarts.iterator.map(_.length.toLong).sum * 8L
+
+    /** DC-Query node by node, the reference for `DCIndex.query`'s run
+      * copies: the last run of row k that starts at or before δ, then the
+      * IES of every node on its representative's path to the root, in path
+      * order. Rows outside `3..kMax` answer as `DCIndex.query` does.
+      */
+    def query(k: Int, delta: Int): Array[Int] =
+      if (k <= 2) Array.range(0, m)
+      else if (k - 3 >= runStarts.length) Array.emptyIntArray
+      else {
+        val run = runStarts(k - 3).lastIndexWhere(_ <= delta)
+        Iterator.iterate(if (run < 0) -1 else runNodes(k - 3)(run))(nodes(_).parent)
+          .takeWhile(_ >= 0).flatMap(nodes(_).ies).toArray
+      }
   }
+
+  /** `idx`'s tree in the reference's shape. */
+  def of(idx: DCIndex): Result = Result(idx.m, idx.nodes, idx.rootId, idx.runStarts, idx.runNodes)
 
   private def node(k: Int, d: Int, parent: Int, ies: Array[Int]) = new DCNode(k, d, parent, ies, 0, ies.length)
 

@@ -25,9 +25,22 @@ object TestGraphs {
     (0, 1, Seq(1)), (0, 3, Seq(28)), (2, 5, Seq(6)),
   )
 
+  /** A small random temporal graph for property tests: each pair of `nV`
+    * vertices is an edge with probability `pEdge`, with 1 to `maxStamps`
+    * timestamps in `[0, horizon)`.
+    */
   def random(seed: Int, nV: Int = 14, pEdge: Double = 0.35,
-             horizon: Int = 30, maxStamps: Int = 3): TemporalGraph =
-    TemporalGraphGen.randomSmall(new Random(seed), nV, pEdge, horizon, maxStamps)
+             horizon: Int = 30, maxStamps: Int = 3): TemporalGraph = {
+    val rnd = new Random(seed)
+    val rows = for {
+      u <- 0 until nV
+      v <- (u + 1) until nV
+      if rnd.nextDouble() < pEdge
+      k = 1 + rnd.nextInt(maxStamps)
+      t <- Seq.fill(k)(rnd.nextInt(horizon))
+    } yield (u, v, t)
+    TemporalGraph.fromInteractions(rows)
+  }
 
   def tris(g: TemporalGraph): TriangleSet = DriverTriangles.enumerate(g)
 
@@ -57,6 +70,13 @@ object TestGraphs {
   /** Brute-force edge set of T_{k,δ}: fixpoint peeling over δ-triangles. */
   def bruteTruss(ts: TriangleSet, k: Int, delta: Int): Set[Int] =
     repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.mts(i) <= delta)
+
+  /** The paper's Fig 11/12 sweep grid, as perfbench's `query` workload
+    * sweeps it: k at 20–90% of kmax (at least 3), δ at 10–100% of δmax.
+    */
+  def fig11Grid(kMax: Int, deltaMax: Int): Seq[(Int, Int)] =
+    (for (kf <- 2 to 9; df <- 1 to 10)
+      yield (math.max(3, math.round(kf / 10.0 * kMax).toInt), math.round(df / 10.0 * deltaMax).toInt)).distinct
 
   /** All (k, δ) pairs worth checking exhaustively on a small graph. */
   def allParams(ts: TriangleSet, kMax: Int): Seq[(Int, Int)] =

@@ -8,8 +8,9 @@ import repro.triangles.TriangleSet
 
 /** Timestamps as real data carries them: the descending sort on keys of one
   * to four 8-bit digits, a δmax of `Int.MaxValue`, epoch seconds, and
-  * shifted and scaled copies of the email-lite analog, whose k-span tables
-  * must follow from the original's (metamorphic oracles).
+  * shuffled, partly duplicated, shifted and scaled copies of the email-lite
+  * analog, whose k-span tables must follow from the original's
+  * (metamorphic oracles).
   */
 class WideTimestampSpec extends AnyFunSuite with PropCheck {
 
@@ -102,6 +103,26 @@ class WideTimestampSpec extends AnyFunSuite with PropCheck {
     val t = MBA.build(ts)
     assert(DBA.build(ts) == t, "email-lite: DBA diverged from MBA")
     t
+  }
+
+  test("email-lite, interactions shuffled and a seeded tenth duplicated: the same graph, table, TC and DC answers") {
+    val rnd = new scala.util.Random(13)
+    val rows = rnd.shuffle(email ++ email.filter(_ => rnd.nextInt(10) == 0))
+    assert(rows.length > email.length)
+    def edges(g: TemporalGraph) = g.edges.toSeq.map(e => (e.u, e.v, e.ts.toSeq))
+    Canonical.same(edges(TemporalGraph.fromInteractions(rows)), edges(TemporalGraph.fromInteractions(email)), "the graph changed")
+    val t = MBA.build(TestGraphs.tris(TemporalGraph.fromInteractions(rows)))
+    Canonical.same(t, emailTable, "the k-span table changed")
+    val (tc, tc0) = (TCIndex.fromTable(t), TCIndex.fromTable(emailTable))
+    val (dc, dc0) = (DCIndex.fromTable(t), DCIndex.fromTable(emailTable))
+    Canonical.same(Canonical.dc(dc), Canonical.dc(dc0), "the DC changed")
+    for (k <- 2 to t.kMax + 1) {
+      val spans = if (k >= 3 && k <= t.kMax) { val lv = t.level(k); (0 until lv.blocks).map(lv.span) } else Nil
+      for (d <- (spans :+ 0 :+ t.deltaMax).distinct) {
+        Canonical.same(tc.query(k, d).sorted.toSeq, tc0.query(k, d).sorted.toSeq, s"TC answered (k=$k, δ=$d) differently")
+        Canonical.same(dc.query(k, d).sorted.toSeq, dc0.query(k, d).sorted.toSeq, s"DC answered (k=$k, δ=$d) differently")
+      }
+    }
   }
 
   for (shift <- Seq(-1000000, 1700000000)) {
