@@ -161,8 +161,10 @@ object Benchmarks {
   /** The paper's protocol (§VII-D): remove `ops` random temporal edges,
     * re-insert them through Algorithm 2, and compare the per-insertion cost
     * against reconstruction from scratch with MBA. TC-IM = k-span
-    * maintenance, whose moves of the table's level orders (`orderMoveNs`)
-    * are TC's whole refresh, since TC is a view of those orders; DC-IM =
+    * maintenance, whose moves of the table's level orders are TC's whole
+    * refresh, since TC is a view of those orders: each new slot enters its
+    * level once, at its Lemma-7 estimate, and each entry that crosses
+    * blocks, new or changed, is timed in the report's `orderMoveNs`; DC-IM =
     * k-span maintenance + bringing the live table's DC, derived before the
     * first insertion, up to date: its rows at or below the highest level
     * the insertion changed. Each index is compared against its own

@@ -48,11 +48,13 @@ final class DCNode private[core] (val k: Int, val delta: Int, val parent: Int,
   * brings the tree up to date if the table counts a mutation since the
   * last derivation. Row k reads only levels k and k + 1 and row k + 1's
   * lookup runs, so with K the highest level that changed since then (each
-  * level keeps the mutation count of its last change), the rows above K
-  * are still current: they keep their nodes, ids and runs, and only rows
-  * K down to 3 are derived again, after the node list is cut back to row
-  * K's first node. A change of `kMax` moves the root, and every row is
-  * derived again. A table has one DC ([[DCIndex.fromTable]]), so a DC over
+  * level keeps the mutation count of its last change, stamped when an
+  * entry is added or moved), the rows above K are still current: they
+  * keep their nodes, ids and runs, and only rows K down to 3 are derived
+  * again, after the node list is cut back to row K's first node. A
+  * trussness `raise` that keeps `kMax` stamps no level, so the rows wait
+  * for the `setSpan`s that enter its new slots. A change of `kMax` moves
+  * the root, and every row is derived again. A table has one DC ([[DCIndex.fromTable]]), so a DC over
   * a table that §VI maintenance repairs is current after every insertion,
   * as TC is, at the cost of the rows the insertion reached; a [[DCNode]]
   * read from `nodes` is valid until the table's next mutation.

@@ -12,27 +12,31 @@ package repro.core
   * The one k-span store of the static build and of §VI maintenance: MBA and
   * DBA fill a table from [[KSpanTable.allocate]], and the maintenance state
   * grows and repairs its own [[copy]] in place through the `private[repro]`
-  * mutators. Only this class knows the row layout: the k-span of `e` at
-  * level k sits in slot `k − 3` of row `e`, a row has `trn(e) − 2` slots,
-  * and a slot no algorithm has written yet holds −1.
+  * mutators. Only this class knows the row layout and writes trussness:
+  * the k-span of `e` at level k sits in slot `k − 3` of row `e`, a row has
+  * `trn(e) − 2` slots, a slot no algorithm has written yet holds −1, and
+  * `kMax` is the largest `trn`. [[raise]] alone changes that shape.
   *
   * The table also keeps every level k in TC order, as a [[Level]]: `E_k`,
   * the edges with `trn ≥ k` in descending k-span, and its `D_k` directory
   * of distinct spans and block offsets. The orders exist from the moment
   * the table does: [[allocate]] makes each level with room for exactly its
-  * `|E_k|` entries, and the first write of a slot enters its edge through
-  * `Level.add`. MBA and DBA write each level in descending span, as
+  * `|E_k|` entries, and the first [[setSpan]] of a slot, the builders' or
+  * §VI's after a `raise`, enters its edge through `Level.add`, the one
+  * way into a level. MBA and DBA write each level in descending span, as
   * §V's sweeps settle the k-spans, so their entries land in place and the
   * build sorts nothing. From then on the mutators keep the orders current
   * with the bin-sort moves of Batagelj and Zaveršnik (2003): a changed
   * entry crosses the block boundaries between its old and its new span,
   * one edge moved per boundary, `O(blocks crossed)` plus `O(|D_k|)` when a
   * block appears or empties; a new slot enters its level at the tail and
-  * moves up the same way. The table keeps no index of an entry's position,
-  * which would cost an int per entry and a row per edge: a changed entry
-  * is found by a scan of its old block, so a move also costs
-  * `O(|block|)`. A directory holds one key per distinct span of its level,
-  * never `δmax + 1`.
+  * moves up the same way, once, to the span it is first given. Every such
+  * crossing goes through `Level.relocate`, which alone reads the clock of
+  * [[orderMoveNanos]]; builders never relocate. The table keeps no index
+  * of an entry's position, which would cost an int per entry and a row per
+  * edge: a changed entry is found by a scan of its old block, so a move
+  * also costs `O(|block|)`. A directory holds one key per distinct span of
+  * its level, never `δmax + 1`.
   *
   * Only ids `< m` are live: a table that grows by [[appendEdge]] doubles its
   * arrays, so `trn` and `spans` may be longer than `m`. A table made by
@@ -41,11 +45,11 @@ package repro.core
   * mutator call adds one to [[mutations]], so a reader that derived
   * something from the level orders can tell that it is stale. Each level
   * also keeps the count at its last change (`Level.changedAt`): a
-  * `setSpan` that changes a span stamps its level, and a `growRow` every
-  * level it enters, so the reader can tell which levels are stale.
-  * `appendEdge` and `raiseDeltaMax` change no level. The table holds its
-  * one [[DCIndex]], which reads those stamps to derive again only the
-  * rows they reach; a [[copy]] starts without one.
+  * `setSpan` that enters an edge or changes a span stamps its level, so
+  * the reader can tell which levels are stale. `raise`, `appendEdge` and
+  * `raiseDeltaMax` enter, move and stamp nothing. The table holds its one
+  * [[DCIndex]], which reads those stamps to derive again only the rows
+  * they reach; a [[copy]] starts without one.
   */
 final class KSpanTable private (
     private var trnBuf: Array[Int],
@@ -73,12 +77,6 @@ final class KSpanTable private (
   def inTruss(e: Int, k: Int, delta: Int): Boolean =
     k <= 2 || (trn(e) >= k && span(e, k) <= delta)
 
-  /** Edge set of `T_{k,δ}` by a scan of every row, `O(m)`: the reference
-    * that tests hold the index queries to. Sorted ascending.
-    */
-  def trussEdges(k: Int, delta: Int): Array[Int] =
-    (0 until m).filter(e => inTruss(e, k, delta)).toArray
-
   /** `Σ_{k,δ} |T_{k,δ}|` — the size of storing every truss explicitly; the
     * denominator of the paper's Table II compression ratio.
     */
@@ -100,7 +98,9 @@ final class KSpanTable private (
   /** The TC order of level `3 ≤ k ≤ kMax`. */
   private[repro] def level(k: Int): Level = levels(k - 3)
 
-  /** Nanoseconds spent in level-order moves since the table was made. */
+  /** Nanoseconds that entries spent crossing blocks of the level orders
+    * (`Level.relocate`) since the table was made.
+    */
   private[repro] def orderMoveNanos: Long = moveNs
 
   /** Mutator calls since the table was made. */
@@ -109,19 +109,15 @@ final class KSpanTable private (
   // --- mutators of the build and of §VI maintenance -----------------------
 
   /** Set the k-span of `e` at level `k` to `d`: the first write of the
-    * slot enters `e` into level k's order, a later one moves it to the
-    * block of `d`.
+    * slot, unset since [[KSpanTable.allocate]] or [[raise]], enters `e`
+    * into level k's order; a later one moves it to the block of `d`.
     */
   private[repro] def setSpan(e: Int, k: Int, d: Int): Unit = {
     val old = rows(e)(k - 3)
     rows(e)(k - 3) = d
     mods += 1
     if (old < 0) levels(k - 3).add(e, d)
-    else if (d != old) {
-      val t0 = System.nanoTime()
-      levels(k - 3).move(e, old, d)
-      moveNs += System.nanoTime() - t0
-    }
+    else if (d != old) levels(k - 3).move(e, old, d)
   }
 
   /** Append a new edge with `trn = 2` and an empty row. */
@@ -136,29 +132,23 @@ final class KSpanTable private (
     mods += 1
   }
 
-  /** Grow the row of `e` to its `trn(e) − 2` slots after a trussness
-    * increase, with the new top slots set to `init`, and raise `kMax`. `e`
-    * enters the order of each new slot's level, a level above `kMax`
-    * starting a new order.
+  /** Raise the trussness of `e` to `t`: its row grows to `t − 2` slots,
+    * the new ones unset, and each level above `kMax` starts an empty
+    * order. No level is entered or stamped: a new slot enters its level
+    * on its first [[setSpan]], at the span it is given.
     */
-  private[repro] def growRow(e: Int, init: Int): Unit = {
-    val want = trnBuf(e) - 2
+  private[repro] def raise(e: Int, t: Int): Unit = {
+    require(t >= trnBuf(e), s"trussness only rises: edge $e from ${trnBuf(e)} to $t")
     val cur = rows(e)
+    rows(e) = java.util.Arrays.copyOf(cur, t - 2)
+    java.util.Arrays.fill(rows(e), cur.length, t - 2, -1)
+    trnBuf(e) = t
     mods += 1
-    if (cur.length < want) {
-      val nu = java.util.Arrays.copyOf(cur, want)
-      java.util.Arrays.fill(nu, cur.length, want, init)
-      rows(e) = nu
-      val t0 = System.nanoTime()
-      if (levels.length < want) {
-        val n0 = levels.length
-        levels = java.util.Arrays.copyOf(levels, want)
-        for (i <- n0 until want) levels(i) = new Level(0)
-      }
-      for (i <- cur.length until want) levels(i).add(e, init)
-      moveNs += System.nanoTime() - t0
+    if (t > kTop) {
+      levels = java.util.Arrays.copyOf(levels, t - 2)
+      for (i <- kTop - 2 until t - 2) levels(i) = new Level(0)
+      kTop = t
     }
-    if (trnBuf(e) > kTop) kTop = trnBuf(e)
   }
 
   private[repro] def raiseDeltaMax(d: Int): Unit = if (d > dMax) { dMax = d; mods += 1 }
@@ -224,12 +214,6 @@ final class KSpanTable private (
       */
     private[core] def edgeArray: Array[Int] = es
 
-    /** A copy of the edges of span exactly `d`. */
-    def spanEdges(d: Int): Array[Int] = {
-      val b = block(d)
-      if (b < 0) Array.emptyIntArray else java.util.Arrays.copyOfRange(es, offs(b), end(b))
-    }
-
     /** A copy of the suffix of `E_k` whose spans are ≤ `d`. */
     def atMost(d: Int): Array[Int] = java.util.Arrays.copyOfRange(es, firstAtMost(d), n)
 
@@ -281,9 +265,11 @@ final class KSpanTable private (
       * `nu`, which is made if missing; block `from` is dropped if `e` was
       * its last edge. The hole `e` leaves travels with it: at each boundary
       * crossed, the edge there fills the hole and leaves its own slot as
-      * the next one.
+      * the next one. Timed on the table's move clock, for `move` and `add`
+      * alike.
       */
     private def relocate(e: Int, at: Int, from: Int, nu: Int): Unit = {
+      val t0 = System.nanoTime()
       var home = from
       var b = from
       var hole = at
@@ -316,6 +302,7 @@ final class KSpanTable private (
       }
       es(hole) = e
       if (offs(home) == end(home)) removeBlock(home)
+      moveNs += System.nanoTime() - t0
     }
 
     private def insertBlock(b: Int, d: Int, start: Int): Unit = {

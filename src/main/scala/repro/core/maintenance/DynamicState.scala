@@ -58,10 +58,10 @@ final class DynamicState private (
   def edgeId(u: Int, v: Int): Int = TemporalGraph.edgeId(adj, u, v)
 
   /** Whether timestamp `t` keeps the state's time range `[tMin, tMax]`
-    * within `Int.MaxValue`, the rule of the [[TemporalGraph]] constructor
-    * that keeps every mts from overflowing.
+    * within `Int.MaxValue`: [[TemporalGraph.spanFits]], the rule of the
+    * [[TemporalGraph]] constructor that keeps every mts from overflowing.
     */
-  def admits(t: Int): Boolean = m == 0 || math.max(tHi, t).toLong - math.min(tLo, t) <= Int.MaxValue
+  def admits(t: Int): Boolean = m == 0 || TemporalGraph.spanFits(math.min(tLo, t), math.max(tHi, t))
 
   private def widen(t: Int): Unit = {
     if (m == 0) { tLo = t; tHi = t }

@@ -13,9 +13,10 @@ import repro.truss.TrussInsert
   *     For a brand-new static edge, static trussness is first maintained
   *     with [[TrussInsert]] on the state's [[repro.core.LevelPeel]]; edges
   *     whose trussness rises to `k` (the `L_Ek` sets of Definition 11) get
-  *     a fresh level-`k` slot initialized to the upper-bound estimate of
-  *     Definition 12 / Lemma 7. Both kinds of insertion then hand steps 2–4
-  *     one candidate list of triangles, each with its mts before the
+  *     a fresh level-`k` slot from [[repro.core.KSpanTable]]'s `raise`,
+  *     written once with the upper-bound estimate of Definition 12 /
+  *     Lemma 7. Both kinds of insertion then hand steps 2–4 one
+  *     candidate list of triangles, each with its mts before the
   *     insertion and the level above which it is new to the k-world: the
   *     smallest old trussness of its edges, `e0` counting as 2. Above that
   *     level the triangle is treated as dropping from `mts = ∞`, which
@@ -47,10 +48,13 @@ object IndexMaintenance {
       newStaticEdge: Boolean,
       verifiedKs: Int,
       regionEdgesTotal: Int,
+      /** (edge, k) spans that the insertion changed; the slots it made
+        * for a raised trussness are new, not changed, and not counted */
       changedSpans: Int,
-      /** k levels whose I_k row membership or edge positions changed, a
-        * counter of the report: the table's level orders have already
-        * moved, so a TC-Index over the table needs no refresh. */
+      /** k levels where an edge entered or changed its span, read off the
+        * levels' stamps, a counter of the report: the table's level orders
+        * have already moved, so a TC-Index over the table needs no
+        * refresh. */
       changedLevels: Set[Int],
       /** triangles whose mts changed or that may enter a k-world */
       candidateTris: Int,
@@ -60,8 +64,9 @@ object IndexMaintenance {
       regionTris: Int,
       /** nanoseconds per phase; moves of the table's level orders are
         * counted in `orderMoveNs` alone, not in the phase that made them.
-        * Step 1, filter of k: [[TrussInsert]] and the Lemma-7 estimates
-        * of the new slots (0 for a timestamp insertion) */
+        * Step 1, filter of k: [[TrussInsert]], the raises of the changed
+        * trussness and the Lemma-7 estimates that fill the new slots (0
+        * for a timestamp insertion) */
       trussInsertNs: Long,
       /** step 2, the Lemma-5 filter of every level */
       lemma5Ns: Long,
@@ -69,7 +74,9 @@ object IndexMaintenance {
       gasNs: Long,
       /** step 4, the level peel of every verified level */
       peelNs: Long,
-      /** the level-order moves of the table's changed and new entries */
+      /** the time entries spent crossing blocks of the table's level
+        * orders, changed entries and new ones alike: the table's clock
+        * around `Level.relocate` */
       orderMoveNs: Long,
   )
 
@@ -86,17 +93,19 @@ object IndexMaintenance {
     val (u, v) = if (uRaw < vRaw) (uRaw, vRaw) else (vRaw, uRaw)
     val table = st.tableView
     val moves0 = table.orderMoveNanos
+    val mods0 = table.mutations
     val existing = st.edgeId(u, v)
     if (existing >= 0) {
       val (tids, oldMts) = st.addTimestamp(existing, t)
-      maintainSpans(st, newStaticEdge = false, kHigh = table.trn(existing), tids, oldMts, table.trn(_), 0L, moves0)
+      maintainSpans(st, newStaticEdge = false, kHigh = table.trn(existing), tids, oldMts, table.trn(_), 0L, moves0, mods0)
     } else {
       val (e0, newTris) = st.addEdge(u, v, t)
 
       // --- static trussness maintenance (filter of k) --------------------
       val t0 = System.nanoTime()
-      val upgraded = TrussInsert.maintain(st.ts, st.levelPeel, table.trn, e0)
-      val kHigh = table.trn(e0)
+      val (kHigh, upgraded) = TrussInsert.maintain(st.ts, st.levelPeel, table.trn, e0)
+      table.raise(e0, kHigh)
+      for (e <- upgraded) table.raise(e, table.trn(e) + 1)
       java.util.Arrays.sort(upgraded)
       // each upgraded edge rose by exactly one level
       def oldTrn(e: Int): Int =
@@ -115,7 +124,7 @@ object IndexMaintenance {
       for (tid <- newTris) cand.set(tid)
       for (e <- upgraded; tid <- st.ts.byEdge(e)) cand.set(tid)
       val tids = cand.stream.toArray
-      maintainSpans(st, newStaticEdge = true, kHigh, tids, tids.map(st.ts.mts), oldTrn, trussInsertNs, moves0)
+      maintainSpans(st, newStaticEdge = true, kHigh, tids, tids.map(st.ts.mts), oldTrn, trussInsertNs, moves0, mods0)
     }
   }
 
@@ -138,8 +147,8 @@ object IndexMaintenance {
     var found = false
     val ts = st.ts
     val table = st.tableView
-    // a settled companion has a k-span at k: a row not yet grown lacks only
-    // its entrant's new top level, and the level-k entrants are newish
+    // a settled companion had a k-span at k before the insertion; only
+    // the newish edges' slots at k are still unset
     def settled(f: Int): Unit = if (!isNewish(f) && table.span(f, k) > bound) bound = table.span(f, k)
     for (e <- newish; tid <- ts.byEdge(e)) {
       var a = ts.e1(tid); var b = ts.e2(tid)
@@ -151,14 +160,14 @@ object IndexMaintenance {
       }
     }
     assert(found, s"no k-world triangle touches the newish edges at k=$k")
-    for (e <- newish) { table.growRow(e, bound); table.setSpan(e, k, bound) }
+    for (e <- newish) table.setSpan(e, k, bound)
   }
 
   /** Steps 2–4 for every k from `kHigh` down to 3. Candidate `tids(i)` had
     * mts `oldMts(i)` before the insertion, and is new to the k-world of
     * every k above the smallest old trussness `oldTrn` of its edges. Step 1
-    * took `trussInsertNs`, and the table's move clock read `moves0` before
-    * it.
+    * took `trussInsertNs`; before the insertion, the table's move clock
+    * read `moves0` and its mutation count `mods0`.
     */
   private def maintainSpans(
       st: DynamicState,
@@ -169,6 +178,7 @@ object IndexMaintenance {
       oldTrn: Int => Int,
       trussInsertNs: Long,
       moves0: Long,
+      mods0: Long,
   ): InsertReport = {
     val ts = st.ts
     val table = st.tableView
@@ -177,7 +187,7 @@ object IndexMaintenance {
     var peelNs = 0L
     val newAbove = tids.map(tid => math.min(oldTrn(ts.e1(tid)), math.min(oldTrn(ts.e2(tid)), oldTrn(ts.e3(tid)))))
     val kept = new Array[Int](tids.length)
-    val changedAt = new Array[Int](kHigh + 1)
+    var changedSpans = 0
     var verifiedKs = 0
     var regionEdges = 0
     var regionTris = 0
@@ -218,16 +228,16 @@ object IndexMaintenance {
         val t2 = System.nanoTime()
         gasNs += t2 - t1
         val moves = table.orderMoveNanos
-        changedAt(k) = peelLevel(st, k, dMinus)
+        changedSpans += peelLevel(st, k, dMinus, oldTrn)
         peelNs += System.nanoTime() - t2 - (table.orderMoveNanos - moves)
         regionEdges += st.levelPeel.memberCount
         regionTris += st.levelPeel.triangleCount
       }
       k -= 1
     }
-    // a new static edge joins every row k ≤ trn(e0); entrants join theirs
-    InsertReport(newStaticEdge, verifiedKs, regionEdges, changedSpans = changedAt.sum,
-      changedLevels = (3 to kHigh).filter(k => newStaticEdge || changedAt(k) > 0).toSet,
+    // a level stamped since mods0 had an entry added or moved
+    InsertReport(newStaticEdge, verifiedKs, regionEdges, changedSpans,
+      changedLevels = (3 to table.kMax).filter(table.level(_).changedAt > mods0).toSet,
       candidateTris = tids.length, lemma5Skips = skips, regionTris = regionTris,
       trussInsertNs = trussInsertNs, lemma5Ns = lemma5Ns, gasNs = gasNs, peelNs = peelNs,
       orderMoveNs = table.orderMoveNanos - moves0)
@@ -273,9 +283,11 @@ object IndexMaintenance {
   }
 
   /** The local [[LevelPeel]] verification of the region [[gas]] marked,
-    * with `δ−` as its floor. Returns the number of changed k-spans.
+    * with `δ−` as its floor. Returns the number of k-spans that the
+    * insertion changed, not counting the level-k slots it made, those of
+    * the edges of old trussness `oldTrn` below k.
     */
-  private def peelLevel(st: DynamicState, k: Int, dMinus: Int): Int = {
+  private def peelLevel(st: DynamicState, k: Int, dMinus: Int, oldTrn: Int => Int): Int = {
     val table = st.tableView
     val peel = st.levelPeel
     // --- local peel from δ+ down to δ− ----------------------------------
@@ -285,7 +297,7 @@ object IndexMaintenance {
     peel.run(k, floor = dMinus) { (e, nu) =>
       val old = table.span(e, k)
       assert(nu <= old, s"k-span may only shrink on insertion: edge $e k=$k $old -> $nu")
-      if (nu != old) { table.setSpan(e, k, nu); changed += 1 }
+      if (nu != old) { table.setSpan(e, k, nu); if (oldTrn(e) >= k) changed += 1 }
     }
     changed
   }

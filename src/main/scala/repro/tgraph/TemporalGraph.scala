@@ -25,9 +25,7 @@ final case class TEdge(u: Int, v: Int, ts: Array[Int]) {
   */
 final class TemporalGraph(val edges: Array[TEdge]) {
 
-  // Every span `t - t'` (mts, δ) is an Int, which holds only while the
-  // whole timestamp range fits in one.
-  require(tMax.toLong - tMin <= Int.MaxValue,
+  require(TemporalGraph.spanFits(tMin, tMax),
     s"timestamp range [$tMin, $tMax] is wider than Int.MaxValue; time spans would overflow")
 
   /** Number of static edges `|E|`. */
@@ -35,13 +33,6 @@ final class TemporalGraph(val edges: Array[TEdge]) {
 
   /** One-past-the-max vertex id; vertex ids are dense `[0, nVertexIds)`. */
   val nVertexIds: Int = { var top = -1; edges.foreach(e => top = math.max(top, e.v)); top + 1 }
-
-  /** Number of distinct vertices that occur in some edge (`|V|`). */
-  lazy val numVertices: Int = {
-    val seen = new Array[Boolean](nVertexIds)
-    edges.foreach { e => seen(e.u) = true; seen(e.v) = true }
-    seen.count(identity)
-  }
 
   /** Packed adjacency: `adj(v)` holds `(neighbor << 32) | edgeId`, sorted by
     * neighbor. Covers both directions of each undirected edge. Throws
@@ -68,8 +59,6 @@ final class TemporalGraph(val edges: Array[TEdge]) {
     out
   }
 
-  def degree(v: Int): Int = if (v < nVertexIds) adj(v).length else 0
-
   /** Edge id of the pair `{u, v}` in either orientation, or -1 if absent. */
   def edgeId(u: Int, v: Int): Int = TemporalGraph.edgeId(adj, u, v)
 
@@ -78,17 +67,6 @@ final class TemporalGraph(val edges: Array[TEdge]) {
 
   /** Largest timestamp in the graph (0 for an empty graph). */
   lazy val tMax: Int = if (edges.isEmpty) 0 else { var t = Int.MinValue; edges.foreach(e => t = math.max(t, e.ts.last)); t }
-
-  /** Number of distinct timestamps `n` across all edges. */
-  lazy val numDistinctTimestamps: Int = {
-    val s = new java.util.HashSet[Int]()
-    edges.foreach(_.ts.foreach(s.add))
-    s.size
-  }
-
-  /** Average number of timestamps per static edge (`|τ|` in Table I). */
-  def avgTimestampsPerEdge: Double =
-    if (edges.isEmpty) 0.0 else edges.iterator.map(_.ts.length.toLong).sum.toDouble / m
 }
 
 object TemporalGraph {
@@ -100,6 +78,12 @@ object TemporalGraph {
     * entries, so `Int.MaxValue` is out.
     */
   def validVertex(v: Int): Boolean = v >= 0 && v < Int.MaxValue
+
+  /** Whether the time range `[tMin, tMax]` fits in an Int: every span
+    * `t − t'` (mts, δ) is one, so a graph and a maintained state hold only
+    * ranges that fit.
+    */
+  def spanFits(tMin: Int, tMax: Int): Boolean = tMax.toLong - tMin <= Int.MaxValue
 
   /** Edge id of `{u, v}` in packed adjacency rows laid out like
     * [[TemporalGraph.adj]], or -1 if absent or if either id is out of range:

@@ -35,14 +35,4 @@ object Mts {
     }
     best
   }
-
-  /** Exhaustive O(|a|·|b|·|c|) reference, used only by tests. */
-  def bruteForce(a: Array[Int], b: Array[Int], c: Array[Int]): Int = {
-    var best = Int.MaxValue
-    for (x <- a; y <- b; z <- c) {
-      val span = math.max(x, math.max(y, z)) - math.min(x, math.min(y, z))
-      if (span < best) best = span
-    }
-    best
-  }
 }

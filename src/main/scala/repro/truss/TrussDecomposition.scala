@@ -110,24 +110,4 @@ object TrussDecomposition {
     }
     trn
   }
-
-  /** Naive fixpoint reference for tests: repeatedly drop edges whose valid
-    * support inside the survivor set is < k−2; returns the (k,δ)-style truss
-    * edge set for an explicit `k` and triangle validity predicate.
-    */
-  def fixpointTruss(ts: TriangleSet, k: Int, valid: Int => Boolean): Set[Int] = {
-    var alive = (0 until ts.m).toSet
-    var changed = true
-    while (changed) {
-      val sup = new Array[Int](ts.m)
-      for (i <- 0 until ts.size if valid(i)) {
-        val a = ts.e1(i); val b = ts.e2(i); val c = ts.e3(i)
-        if (alive(a) && alive(b) && alive(c)) { sup(a) += 1; sup(b) += 1; sup(c) += 1 }
-      }
-      val next = alive.filter(e => sup(e) >= k - 2)
-      changed = next.size != alive.size
-      alive = next
-    }
-    alive
-  }
 }

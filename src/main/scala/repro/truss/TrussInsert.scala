@@ -20,17 +20,22 @@ import repro.triangles.TriangleSet
   *     edges are candidates or settled (old trussness ≥ k), and
   *  3. runs the [[LevelPeel]] support fixpoint on them, with the settled
   *     edges as fixed support; the survivors rise to k.
+  *
+  * It reads the old trussness and writes none: it returns `e0`'s new
+  * trussness and the edges that rise, and §VI maintenance raises them
+  * through [[repro.core.KSpanTable]], the one owner of the table's shape.
   */
 object TrussInsert {
 
-  /** Update `trn` in place after inserting `e0`, using `peel`'s marks.
+  /** The trussness changes of inserting `e0`, found with `peel`'s marks;
+    * `trn`, the trussness before the insertion, is read and not written.
     *
     * `ts` must already include all triangles of the updated graph (in
-    * particular the new triangles through `e0`), and `trn(e0)` must be 2 on
-    * entry. Returns the pre-existing edges whose trussness increased, each
-    * once (excluding `e0`, whose final trussness is left in `trn(e0)`).
+    * particular the new triangles through `e0`), and `trn(e0)` must be 2.
+    * Returns `e0`'s new trussness and the pre-existing edges whose
+    * trussness rises, each once and each by exactly one.
     */
-  def maintain(ts: TriangleSet, peel: LevelPeel, trn: Array[Int], e0: Int): Array[Int] = {
+  def maintain(ts: TriangleSet, peel: LevelPeel, trn: Array[Int], e0: Int): (Int, Array[Int]) = {
     // the two edges of triangle tid other than e, lower id first
     @inline def lo(tid: Int, e: Int): Int = if (ts.e1(tid) == e) ts.e2(tid) else ts.e1(tid)
     @inline def hi(tid: Int, e: Int): Int = if (ts.e3(tid) == e) ts.e2(tid) else ts.e3(tid)
@@ -45,7 +50,6 @@ object TrussInsert {
       i += 1
     }
 
-    // trn keeps the old trussness until every level is done
     val upgraded = new scala.collection.mutable.ArrayBuilder.ofInt
     var top = 2 // e0's trussness so far
     var k = 3
@@ -73,9 +77,6 @@ object TrussInsert {
       peel.fixpoint(k) { c => if (c == e0) top = k else upgraded += c }
       k += 1
     }
-    trn(e0) = top
-    val out = upgraded.result()
-    for (e <- out) trn(e) += 1
-    out
+    (top, upgraded.result())
   }
 }

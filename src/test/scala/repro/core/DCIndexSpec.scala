@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropCheck
+import repro.Refs._
 
 /** DC-Index derivation chain (Definitions 6–8) + DC-Query (§IV-B). */
 class DCIndexSpec extends AnyFunSuite with PropCheck {
@@ -276,21 +277,28 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
     }
   }
 
-  test("a growRow re-derives the rows up to the top new slot, and every row when it raises kMax") {
+  test("a raise re-derives rows at its first setSpan, all on a new kMax") {
     val t = MBA.build(TestGraphs.tris(TestGraphs.plantedCore._1))
     val dc = DCIndex.fromTable(t)
     val kMax = t.kMax
+    val before = dc.nodes
     t.appendEdge()
-    t.trn(t.m - 1) = 6
-    t.growRow(t.m - 1, t.deltaMax)
+    t.raise(t.m - 1, 6)
+    // a raise that keeps kMax stamps no level: nothing is derived yet
+    assert(dc.rowsDerived == 0 && dc.nodesDerived == 0 && t.kMax == kMax)
+    val after = dc.nodes
+    assert(after.length == before.length && after.indices.forall(i => after(i) eq before(i)), "a raise re-derived a row")
+    for (k <- 3 to 6) t.setSpan(t.m - 1, k, t.deltaMax)
     assert(dc.rowsDerived == 4 && t.kMax == kMax)
-    assertFromScratch(dc, t, "after a growRow to trn 6")
+    assertFromScratch(dc, t, "after a raise to trn 6")
     t.appendEdge()
-    t.trn(t.m - 1) = kMax + 1
-    t.growRow(t.m - 1, 0)
+    t.raise(t.m - 1, kMax + 1)
+    // a raise of kMax moves the root: every row is derived again at once
     assert(t.kMax == kMax + 1)
     assert(dc.rowsDerived == kMax - 1 && dc.nodesDerived == dc.nodes.length)
-    assertFromScratch(dc, t, "after a growRow that raised kMax")
+    for (k <- 3 to kMax + 1) t.setSpan(t.m - 1, k, 0)
+    assert(dc.rowsDerived == kMax - 1 && dc.nodesDerived == dc.nodes.length)
+    assertFromScratch(dc, t, "after a raise of kMax")
   }
 
   test("wide timestamps: a grid of more than Int.MaxValue cells answers like TC and the table") {

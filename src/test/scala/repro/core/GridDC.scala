@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.Refs._
+
 /** The reference DC-Index derivation: Definitions 6–8 over the full
   * (k, δ) grid, every cell of `3 ≤ k ≤ kMax` × `0 ≤ δ ≤ δmax` visited three
   * times (arborescence with reduction, kept ids, lookup) and every IES

@@ -59,6 +59,26 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     }
   }
 
+  /** The report's `changedLevels` and `changedSpans` are a diff of the
+    * snapshots taken before and after the insertion: the levels where an
+    * edge entered or changed its span, and the (edge, k) spans that were
+    * there before and changed. An entry crossed a block boundary, so the
+    * move clock must have run, if a span changed, or if an edge entered a
+    * level above the level's lowest span before the insertion: it entered
+    * at the tail, at its estimate, which is at least its final span.
+    * Returns whether the diff shows such a crossing.
+    */
+  private def assertReportIsDiff(r: IndexMaintenance.InsertReport, before: KSpanTable, after: KSpanTable, ctx: String): Boolean = {
+    val entered = for (e <- 0 until after.m; k <- 3 to after.trn(e) if e >= before.m || k > before.trn(e)) yield (e, k)
+    val changed = for (e <- 0 until before.m; k <- 3 to before.trn(e) if before.span(e, k) != after.span(e, k)) yield (e, k)
+    assert(r.changedLevels == (entered ++ changed).map(_._2).toSet, s"$ctx: changedLevels ${r.changedLevels} is not the diff")
+    assert(r.changedSpans == changed.length, s"$ctx: changedSpans ${r.changedSpans} against ${changed.length} in the diff")
+    def floor(k: Int) = if (k > before.kMax || before.level(k).size == 0) Int.MaxValue else before.level(k).span(before.level(k).blocks - 1)
+    val crossed = changed.nonEmpty || entered.exists { case (e, k) => after.span(e, k) > floor(k) }
+    assert(!crossed || r.orderMoveNs > 0, s"$ctx: entries crossed blocks, but the move clock read ${r.orderMoveNs} ns")
+    crossed
+  }
+
   /** Remove `n` random temporal interactions, then replay them through the
     * maintenance path, checking against rebuild after every insertion
     * (the paper's remove-and-reinsert evaluation protocol, §VII-D): the
@@ -70,9 +90,11 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     * before the replay equal those built fresh by MBA from the snapshot's
     * triangles ([[Canonical.assertFresh]]). The graph, triangle set and table the
     * state was seeded from, and the answers of a TC and a DC over that
-    * table, stay untouched.
+    * table, stay untouched. Each report is the diff of the snapshots
+    * around its insertion ([[assertReportIsDiff]]). Returns the number of
+    * new-edge inserts whose entries crossed blocks.
     */
-  private def replay(seed: Int, g: TemporalGraph, n: Int): Unit = {
+  private def replay(seed: Int, g: TemporalGraph, n: Int): Int = {
     val rnd = new Random(seed)
     val all = g.edges.flatMap(e => e.ts.map(t => (e.u, e.v, t)))
     val removedIdx = rnd.shuffle(all.indices.toList).take(n).toSet
@@ -94,11 +116,14 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     val dc = DCIndex.fromTable(st.tableView)
     var prevSnapshot = st.snapshotTable
     var prevRebuilt = MBA.build(st.snapshotTriangles)
+    var newEdgeMoves = 0 // new-edge inserts whose entries crossed blocks
     for ((u, v, t) <- replayable ++ dropped) {
       val report = IndexMaintenance.insert(st, u, v, t)
       assert(prevSnapshot == prevRebuilt, s"seed=$seed: the previous snapshot changed with ($u,$v,$t)")
       assertMatchesRebuild(st, s"seed=$seed after insert ($u,$v,$t)")
       val snapshot = st.snapshotTable
+      if (assertReportIsDiff(report, prevSnapshot, snapshot, s"seed=$seed after ($u,$v,$t)") && report.newStaticEdge)
+        newEdgeMoves += 1
       assert(st.tableView.kMax == snapshot.kMax && st.tableView.deltaMax >= snapshot.deltaMax,
         s"seed=$seed: live view bounds diverged after ($u,$v,$t)")
       prevSnapshot = snapshot
@@ -121,6 +146,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
       s"seed=$seed: seed incidence rows were modified")
     assert(baseTable == MBA.build(again), s"seed=$seed: seed k-span table was modified")
     assert(baseAnswers == baseBefore, s"seed=$seed: a TC or a DC over the seed table changed its answers")
+    newEdgeMoves
   }
 
   for (seed <- 0 until 10) {
@@ -136,7 +162,8 @@ class IndexMaintenanceSpec extends AnyFunSuite {
   }
 
   test("running example: replay 15 interactions") {
-    replay(99, TestGraphs.running, 15)
+    val moved = replay(99, TestGraphs.running, 15)
+    assert(moved > 0, "no new-edge insert of the stream moved an entry")
   }
 
   test("timestamp insertion on an existing edge tightens k-spans") {

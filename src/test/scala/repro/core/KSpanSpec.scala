@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Refs._
 
 /** DBA and MBA must produce the same, correct k-span table (§V). */
 class KSpanSpec extends AnyFunSuite {

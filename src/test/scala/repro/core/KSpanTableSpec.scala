@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import repro.Refs._
 
 /** KSpanTable container semantics (membership, equality, Σ|T| accounting)
   * and the bin-sort moves that keep its level orders in TC order.
@@ -151,22 +152,36 @@ class KSpanTableSpec extends AnyFunSuite {
     }
   }
 
-  test("level orders: growRow enters the new slots, and a new kMax level") {
+  test("level orders: setSpan enters raised slots, and a new kMax level") {
     val t = oneLevel(4, 2, 2, 0)
-    t.trn(1) = 5
-    t.growRow(1, 3)
+    t.raise(1, 5)
+    t.setSpan(1, 4, 3); t.setSpan(1, 5, 3)
     assert(t.kMax == 5 && t.span(1, 4) == 3 && t.span(1, 5) == 3)
     assertSorted(t, "new levels 4 and 5")
     assert(order(t, 4) == Seq(1) && order(t, 5) == Seq(1))
     t.setSpan(1, 5, 4)
-    t.trn(3) = 4
-    t.growRow(3, 4) // above every span of level 4
-    t.trn(0) = 4
-    t.growRow(0, 1) // below every span of level 4
-    t.trn(2) = 4
-    t.growRow(2, 3) // into level 4's existing block
+    t.raise(3, 4); t.setSpan(3, 4, 4) // above every span of level 4
+    t.raise(0, 4); t.setSpan(0, 4, 1) // below every span of level 4
+    t.raise(2, 4); t.setSpan(2, 4, 3) // into level 4's existing block
     assertSorted(t, "new slots in an existing level")
     assert(directory(t, 4) == Seq((4, 0), (3, 1), (1, 3)))
+  }
+
+  test("raise leaves new slots unset and every level as it was") {
+    val t = table(6)
+    def levels = (3 to t.kMax).map(k => (order(t, k), directory(t, k), t.level(k).changedAt))
+    val before = levels
+    val kMax = t.kMax
+    val e = (0 until t.m).find(t.trn(_) < kMax).get
+    val row = t.spans(e).toSeq
+    t.raise(e, t.trn(e) + 1) // within kMax
+    assert(t.trn(e) == row.length + 3 && t.spans(e).toSeq == row :+ -1 && t.kMax == kMax)
+    assert(levels == before, "a raise within kMax entered, moved or stamped a level")
+    t.appendEdge()
+    t.raise(t.m - 1, kMax + 2) // above kMax
+    assert(t.kMax == kMax + 2 && t.spans(t.m - 1).toSeq == Seq.fill(kMax)(-1))
+    assert(levels == before ++ Seq.fill(2)((Nil, Nil, 0L)), "a raise above kMax entered or stamped a level")
+    intercept[IllegalArgumentException](t.raise(e, t.trn(e) - 1))
   }
 
   test("level orders: appendEdge, before and after the first move") {
@@ -176,8 +191,8 @@ class KSpanTableSpec extends AnyFunSuite {
       for (_ <- 0 until 20) t.appendEdge() // past the exact-length arrays
       assert(t.m == 23 && t.kMax == 3)
       assertSorted(t, s"appended, moveFirst=$moveFirst")
-      t.trn(21) = 4
-      t.growRow(21, 2)
+      t.raise(21, 4)
+      t.setSpan(21, 3, 2)
       t.setSpan(21, 4, 3)
       t.setSpan(1, 3, 3)
       assertSorted(t, s"grew an appended edge, moveFirst=$moveFirst")
@@ -201,8 +216,8 @@ class KSpanTableSpec extends AnyFunSuite {
       if (c.trn(e) >= 3) c.setSpan(e, 3, rnd.nextInt(c.deltaMax + 1))
     }
     c.appendEdge()
-    c.trn(c.m - 1) = c.kMax + 1
-    c.growRow(c.m - 1, 0)
+    c.raise(c.m - 1, c.kMax + 1)
+    for (k <- 3 to c.kMax) c.setSpan(c.m - 1, k, 0)
     assertSorted(c, "the mutated copy")
     assert((3 to a.kMax).map(k => (order(a, k), directory(a, k))) == before)
     assert(rows(tc) == tcBefore && rows(TCIndex.fromTable(a)) == tcBefore)

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.triangles.TriangleSet
 import repro.truss.TrussDecomposition
+import repro.Refs._
 
 /** The [[LevelPeel]] kernel alone, against the brute-force fixpoint and the
   * MBA build.
@@ -27,7 +28,7 @@ class LevelPeelSpec extends AnyFunSuite {
         for (tid <- 0 until ts.size if ts.mts(tid) <= d) peel.addTriangle(tid)
         val kept = Set.newBuilder[Int]
         peel.fixpoint(k)(kept += _)
-        assert(kept.result() == TrussDecomposition.fixpointTruss(ts, k, ts.mts(_) <= d), s"k=$k δ=$d")
+        assert(kept.result() == fixpointTruss(ts, k, ts.mts(_) <= d), s"k=$k δ=$d")
       }
     }
 

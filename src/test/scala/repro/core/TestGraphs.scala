@@ -3,6 +3,7 @@ package repro.core
 import scala.util.Random
 import repro.tgraph.{TemporalGraph, TemporalGraphGen}
 import repro.triangles.{DriverTriangles, TriangleSet}
+import repro.Refs._
 
 /** Shared fixtures for the driver-side algorithm suites. */
 object TestGraphs {
@@ -69,7 +70,7 @@ object TestGraphs {
 
   /** Brute-force edge set of T_{k,δ}: fixpoint peeling over δ-triangles. */
   def bruteTruss(ts: TriangleSet, k: Int, delta: Int): Set[Int] =
-    repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.mts(i) <= delta)
+    fixpointTruss(ts, k, i => ts.mts(i) <= delta)
 
   /** The paper's Fig 11/12 sweep grid, as perfbench's `query` workload
     * sweeps it: k at 20–90% of kmax (at least 3), δ at 10–100% of δmax.

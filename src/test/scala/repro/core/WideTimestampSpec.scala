@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.PropCheck
 import repro.tgraph.{TemporalGraph, TemporalGraphGen}
 import repro.triangles.TriangleSet
+import repro.Refs._
 
 /** Timestamps as real data carries them: the descending sort on keys of one
   * to four 8-bit digits, a δmax of `Int.MaxValue`, epoch seconds, and

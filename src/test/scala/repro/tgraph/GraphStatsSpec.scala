@@ -3,6 +3,7 @@ package repro.tgraph
 import repro.SparkSpec
 import repro.core.TestGraphs
 import repro.triangles.DriverTriangles
+import repro.Refs._
 
 /** Table-I statistics computation (Spark aggregations + driver kmax). */
 class GraphStatsSpec extends SparkSpec {

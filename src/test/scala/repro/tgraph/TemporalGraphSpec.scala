@@ -1,6 +1,7 @@
 package repro.tgraph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Refs._
 
 /** Temporal graph substrate (S1): canonicalization, adjacency, round trips. */
 class TemporalGraphSpec extends AnyFunSuite {

@@ -3,6 +3,7 @@ package repro.triangles
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropCheck
+import repro.Refs._
 
 /** Minimum time span (Definition 1): three-pointer vs brute force. */
 class MtsSpec extends AnyFunSuite with PropCheck {
@@ -43,7 +44,7 @@ class MtsSpec extends AnyFunSuite with PropCheck {
 
   test("property: three-pointer equals brute force") {
     checkProp(Prop.forAll(tsGen, tsGen, tsGen) { (a, b, c) =>
-      m(a, b, c) == Mts.bruteForce(a.sorted.toArray, b.sorted.toArray, c.sorted.toArray)
+      m(a, b, c) == mtsBruteForce(a.sorted.toArray, b.sorted.toArray, c.sorted.toArray)
     })
   }
 

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TestGraphs
 import repro.tgraph.TemporalGraph
 import repro.triangles.DriverTriangles
+import repro.Refs._
 
 /** Static truss decomposition (substrate S5) against naive fixpoints. */
 class TrussDecompositionSpec extends AnyFunSuite {
@@ -48,7 +49,7 @@ class TrussDecompositionSpec extends AnyFunSuite {
       val trn = TrussDecomposition.trussness(ts)
       val kMax = if (g.m == 0) 2 else trn.max
       for (k <- 3 to kMax + 1) {
-        val expected = TrussDecomposition.fixpointTruss(ts, k, _ => true)
+        val expected = fixpointTruss(ts, k, _ => true)
         val got = (0 until g.m).filter(trn(_) >= k).toSet
         assert(got == expected, s"k=$k")
       }

@@ -4,12 +4,26 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.core.{LevelPeel, TestGraphs}
 import repro.tgraph.TemporalGraph
-import repro.triangles.DriverTriangles
+import repro.triangles.{DriverTriangles, TriangleSet}
 
 /** Trussness maintenance under edge insertion (substrate S7) against full
   * recomputation, over random insertion positions.
   */
 class TrussInsertSpec extends AnyFunSuite {
+
+  /** `TrussInsert.maintain` on `trn`, which it must leave as it is, then
+    * its result written into `trn` as §VI maintenance raises it in the
+    * table: `e0` to its new trussness, each upgraded edge by one. Returns
+    * the upgraded edges.
+    */
+  private def applied(ts: TriangleSet, trn: Array[Int], e0: Int): Array[Int] = {
+    val before = trn.clone()
+    val (top, upgraded) = TrussInsert.maintain(ts, new LevelPeel(ts), trn, e0)
+    assert(trn.sameElements(before), "TrussInsert wrote the trussness it was given")
+    trn(e0) = top
+    for (e <- upgraded) trn(e) += 1
+    upgraded
+  }
 
   /** Remove one edge from g, recompute trussness, then re-insert via
     * TrussInsert and compare with the trussness of the full graph.
@@ -26,7 +40,7 @@ class TrussInsertSpec extends AnyFunSuite {
     val trnReduced = TrussDecomposition.trussness(DriverTriangles.enumerate(reduced))
     val trn = java.util.Arrays.copyOf(trnReduced, full.m)
     trn(e0) = 2
-    val upgraded = TrussInsert.maintain(tsFull, new LevelPeel(tsFull), trn, e0)
+    val upgraded = applied(tsFull, trn, e0)
 
     val expected = TrussDecomposition.trussness(tsFull)
     assert(trn.toSeq == expected.toSeq,
@@ -87,7 +101,7 @@ class TrussInsertSpec extends AnyFunSuite {
       val trn = java.util.Arrays.copyOf(
         TrussDecomposition.trussness(DriverTriangles.enumerate(before)), full.m)
       trn(full.m - 1) = 2
-      TrussInsert.maintain(tsF, new LevelPeel(tsF), trn, full.m - 1)
+      applied(tsF, trn, full.m - 1)
       assert(trn.toSeq == TrussDecomposition.trussness(tsF).toSeq, s"after inserting ($u,$v)")
     }
   }
