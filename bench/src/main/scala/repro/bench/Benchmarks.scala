@@ -118,10 +118,15 @@ object Benchmarks {
 
   // ------------------------------------------- Claim 2: index construction
 
-  final case class ConstructionRow(name: String, edges: Int, tris: Int,
-                                   dbaMs: Double, mbaMs: Double) {
+  /** `components` and `largestShare` describe the split MBA and DBA run
+    * on: the triangle-connected components, and the share of the triangles
+    * in the largest, the part no other core can help with.
+    */
+  final case class ConstructionRow(name: String, edges: Int, tris: Int, components: Int,
+                                   largestShare: Double, dbaMs: Double, mbaMs: Double) {
     def formatted: String =
-      f"$name%-20s |E|=$edges%7d |tri|=$tris%8d DBA=$dbaMs%10.1f ms  MBA=$mbaMs%10.1f ms"
+      f"$name%-20s |E|=$edges%7d |tri|=$tris%8d comps=$components%5d largest=${100 * largestShare}%5.1f%%  " +
+        f"DBA=$dbaMs%10.1f ms  MBA=$mbaMs%10.1f ms"
   }
 
   /** Min-of-N with alternating order and a GC between measurements — the
@@ -144,7 +149,9 @@ object Benchmarks {
       if (m < mbaMs) mbaMs = m
       i += 1
     }
-    ConstructionRow(cfg.name, p.g.m, p.ts.size, dbaMs, mbaMs)
+    val (_, size) = Split.components(p.ts)
+    ConstructionRow(cfg.name, p.g.m, p.ts.size, size.length,
+      if (size.isEmpty) 0.0 else size.max.toDouble / p.ts.size, dbaMs, mbaMs)
   }
 
   // ------------------------------------------- Claim 3: index maintenance

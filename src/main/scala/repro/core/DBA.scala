@@ -15,10 +15,21 @@ import repro.truss.TrussDecomposition
   * paper's de-duplication trick — and peels the edges whose δ-support drops
   * below `k−2`. An edge peeled during step δ belongs to `T_{k,δ}` but not
   * `T_{k,δ−1}`, i.e. its k-span is δ; survivors at δ = 0 have k-span 0.
+  *
+  * Like [[MBA]], [[build]] runs this per-k loop ([[decompose]], the
+  * kernel, with its own [[LevelPeel]]) on each part of [[Split]] in
+  * parallel, so Fig 14 compares the two sweeps through the same split: a
+  * part's loop stops at the part's own kmax.
   */
 object DBA {
 
-  def build(ts: TriangleSet): KSpanTable = {
+  /** The k-span table of `ts`, [[decompose]] run on each part of [[Split]]. */
+  def build(ts: TriangleSet): KSpanTable = Split.build(ts)(decompose)
+
+  /** The per-k decomposition of all of `ts` at once: the kernel [[build]]
+    * runs on each part.
+    */
+  private[repro] def decompose(ts: TriangleSet): KSpanTable = {
     val trn = TrussDecomposition.trussness(ts)
     val table = KSpanTable.allocate(trn, ts.deltaMax)
 

@@ -328,10 +328,11 @@ final class KSpanTable private (
 object KSpanTable {
 
   /** A table for the trussness `trn`, every row sized `trn(e) − 2` and
-    * unset, for a builder to fill through `setSpan`. Level k gets room for
-    * its `#{e : trn(e) ≥ k}` entries. `deltaMax` is the largest triangle
-    * mts of the graph; on a maintained table, where mts only shrinks, it is
-    * an upper bound of it. Nothing is sized by it.
+    * unset, for a builder to fill through `setSpan`. The rows of trussness
+    * 2 share one empty array, which `raise` replaces rather than writes.
+    * Level k gets room for its `#{e : trn(e) ≥ k}` entries. `deltaMax` is
+    * the largest triangle mts of the graph; on a maintained table, where
+    * mts only shrinks, it is an upper bound of it. Nothing is sized by it.
     */
   private[repro] def allocate(trn: Array[Int], deltaMax: Int): KSpanTable = {
     var top = 2
@@ -342,10 +343,12 @@ object KSpanTable {
     val rows = new Array[Array[Int]](trn.length)
     e = 0
     while (e < trn.length) {
-      val row = new Array[Int](math.max(0, trn(e) - 2))
-      java.util.Arrays.fill(row, -1)
-      rows(e) = row
-      if (trn(e) >= 3) size(trn(e) - 3) += 1
+      if (trn(e) >= 3) {
+        val row = new Array[Int](trn(e) - 2)
+        java.util.Arrays.fill(row, -1)
+        rows(e) = row
+        size(trn(e) - 3) += 1
+      } else rows(e) = Array.emptyIntArray // shared: a row of no slots is never written
       e += 1
     }
     var i = size.length - 2

@@ -28,10 +28,21 @@ import repro.truss.TrussDecomposition
   * feeds the static trussness), `p` the triangle's sweep position and `f1`,
   * `f2` its companions, in sweep order: the invalidated triangles of an
   * edge are a prefix of its triples, which a drop steps past once.
+  *
+  * A drop spreads only through triangles that share an edge, so [[build]]
+  * runs this sweep ([[sweep]], the kernel) on each part of [[Split]], one
+  * or more whole triangle-connected components over local edge ids, on
+  * every core, and assembles the table from the parts' level orders.
   */
 object MBA {
 
-  def build(ts: TriangleSet): KSpanTable = {
+  /** The k-span table of `ts`, [[sweep]] run on each part of [[Split]]. */
+  def build(ts: TriangleSet): KSpanTable = Split.build(ts)(sweep)
+
+  /** The sweep over all of `ts` at once: the kernel [[build]] runs on each
+    * part.
+    */
+  private[repro] def sweep(ts: TriangleSet): KSpanTable = {
     val m = ts.m
     val order = ts.byMtsDescending
     // edge e's triangles as (p, f1, f2) triples, p the sweep position, at

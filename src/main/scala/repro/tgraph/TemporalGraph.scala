@@ -11,7 +11,7 @@ final case class TEdge(u: Int, v: Int, ts: Array[Int]) {
   require(u >= 0 && u < v && TemporalGraph.validVertex(v),
     s"temporal edge must be canonical (0 ≤ u < v < Int.MaxValue), got ($u, $v)")
   require(ts.nonEmpty, s"temporal edge ($u, $v) must carry at least one timestamp")
-  require((1 until ts.length).forall(i => ts(i - 1) < ts(i)),
+  require({ var i = 1; while (i < ts.length && ts(i - 1) < ts(i)) i += 1; i >= ts.length },
     s"temporal edge ($u, $v) must carry its timestamps sorted and distinct, got ${ts.mkString("[", ", ", "]")}")
 }
 
@@ -38,35 +38,18 @@ final class TemporalGraph(val edges: Array[TEdge]) {
     * neighbor. Covers both directions of each undirected edge. Throws
     * `IllegalArgumentException` if two edges join the same pair.
     */
-  val adj: Array[Array[Long]] = {
-    val deg = new Array[Int](nVertexIds)
-    edges.foreach { e => deg(e.u) += 1; deg(e.v) += 1 }
-    val out = Array.tabulate(nVertexIds)(v => new Array[Long](deg(v)))
-    val fill = new Array[Int](nVertexIds)
-    var eid = 0
-    while (eid < edges.length) {
-      val e = edges(eid)
-      out(e.u)(fill(e.u)) = (e.v.toLong << 32) | eid.toLong; fill(e.u) += 1
-      out(e.v)(fill(e.v)) = (e.u.toLong << 32) | eid.toLong; fill(e.v) += 1
-      eid += 1
-    }
-    out.foreach { row =>
-      java.util.Arrays.sort(row)
-      // a static pair is one edge: each neighbor once per row
-      for (i <- 1 until row.length) require(nbrOf(row(i - 1)) != nbrOf(row(i)),
-        s"a static pair is given twice, as edges ${eidOf(row(i - 1))} and ${eidOf(row(i))}")
-    }
-    out
-  }
+  val adj: Array[Array[Long]] = TemporalGraph.adjacency(edges, nVertexIds)
 
   /** Edge id of the pair `{u, v}` in either orientation, or -1 if absent. */
   def edgeId(u: Int, v: Int): Int = TemporalGraph.edgeId(adj, u, v)
 
   /** Smallest timestamp in the graph (0 for an empty graph). */
-  lazy val tMin: Int = if (edges.isEmpty) 0 else { var t = Int.MaxValue; edges.foreach(e => t = math.min(t, e.ts.head)); t }
+  lazy val tMin: Int = range._1
 
   /** Largest timestamp in the graph (0 for an empty graph). */
-  lazy val tMax: Int = if (edges.isEmpty) 0 else { var t = Int.MinValue; edges.foreach(e => t = math.max(t, e.ts.last)); t }
+  lazy val tMax: Int = range._2
+
+  private lazy val range: (Int, Int) = TemporalGraph.timeRange(edges)
 }
 
 object TemporalGraph {
@@ -84,6 +67,53 @@ object TemporalGraph {
     * ranges that fit.
     */
   def spanFits(tMin: Int, tMax: Int): Boolean = tMax.toLong - tMin <= Int.MaxValue
+
+  // (tMin, tMax) of `edges`, in one loop over their first and last
+  // timestamps. Not in the lazy val's body: HotSpot 17 declines to compile
+  // a loop there on stack ("stack not empty at OSR entry point")
+  private def timeRange(edges: Array[TEdge]): (Int, Int) = if (edges.isEmpty) (0, 0) else {
+    var lo = Int.MaxValue; var hi = Int.MinValue
+    var i = 0
+    while (i < edges.length) {
+      val ts = edges(i).ts
+      if (ts(0) < lo) lo = ts(0)
+      if (ts(ts.length - 1) > hi) hi = ts(ts.length - 1)
+      i += 1
+    }
+    (lo, hi)
+  }
+
+  // [[TemporalGraph.adj]]. Built in this method, not in the constructor
+  // body: on wikitalk-lite (HotSpot 17, 4 vCPUs) the same loops took about
+  // 15 ms longer in the constructor, which runs once per graph
+  private def adjacency(edges: Array[TEdge], nVertexIds: Int): Array[Array[Long]] = {
+    val deg = new Array[Int](nVertexIds)
+    var eid = 0
+    while (eid < edges.length) { deg(edges(eid).u) += 1; deg(edges(eid).v) += 1; eid += 1 }
+    val out = Array.tabulate(nVertexIds)(v => new Array[Long](deg(v)))
+    val fill = new Array[Int](nVertexIds)
+    eid = 0
+    while (eid < edges.length) {
+      val e = edges(eid)
+      out(e.u)(fill(e.u)) = (e.v.toLong << 32) | eid.toLong; fill(e.u) += 1
+      out(e.v)(fill(e.v)) = (e.u.toLong << 32) | eid.toLong; fill(e.v) += 1
+      eid += 1
+    }
+    var v = 0
+    while (v < nVertexIds) {
+      val row = out(v)
+      java.util.Arrays.sort(row)
+      // a static pair is one edge: each neighbor once per row
+      var i = 1
+      while (i < row.length) {
+        require(nbrOf(row(i - 1)) != nbrOf(row(i)),
+          s"a static pair is given twice, as edges ${eidOf(row(i - 1))} and ${eidOf(row(i))}")
+        i += 1
+      }
+      v += 1
+    }
+    out
+  }
 
   /** Edge id of `{u, v}` in packed adjacency rows laid out like
     * [[TemporalGraph.adj]], or -1 if absent or if either id is out of range:
@@ -123,27 +153,31 @@ object TemporalGraph {
     * then by signed `t`, so each static edge is one run of equal `hi`.
     */
   def fromInteractions(rows: Iterable[(Int, Int, Int)]): TemporalGraph = {
-    var n = 0; var maxLo = -1
-    rows.foreach { case (u, v, _) =>
+    // the one pass over the tuples: the non-loops as (lower, higher, t)
+    // columns. A closure, not a loop of this method: called per tuple, it
+    // is compiled within the first call, where a loop waits for on-stack
+    // replacement
+    val cols = new Columns(math.max(16, rows.knownSize))
+    rows.foreach { case (u, v, t) =>
       if (u != v) {
-        val lo = math.min(u, v)
         require(validVertex(u) && validVertex(v), s"vertex ids must lie in [0, Int.MaxValue), got ($u, $v)")
-        n += 1; maxLo = math.max(maxLo, lo)
+        cols.add(math.min(u, v), math.max(u, v), t)
       }
     }
+    val n = cols.n; val maxLo = cols.maxLo; val los = cols.lo; val his = cols.hi; val tss = cols.t
     // start(lo) .. start(lo + 1) is the bucket of lower endpoint lo
     val start = new Array[Int](maxLo + 2)
-    rows.foreach { case (u, v, _) => if (u != v) start(math.min(u, v) + 1) += 1 }
+    var r = 0
+    while (r < n) { start(los(r) + 1) += 1; r += 1 }
     var lo = 0
     while (lo <= maxLo) { start(lo + 1) += start(lo); lo += 1 }
     val fill = java.util.Arrays.copyOf(start, maxLo + 1)
     val keys = new Array[Long](n)
-    rows.foreach { case (u, v, t) =>
-      if (u != v) {
-        val lo = math.min(u, v)
-        keys(fill(lo)) = (math.max(u, v).toLong << 32) | ((t ^ Int.MinValue) & 0xffffffffL)
-        fill(lo) += 1
-      }
+    r = 0
+    while (r < n) {
+      keys(fill(los(r))) = (his(r).toLong << 32) | ((tss(r) ^ Int.MinValue) & 0xffffffffL)
+      fill(los(r)) += 1
+      r += 1
     }
     val es = Array.newBuilder[TEdge]
     lo = 0
@@ -151,7 +185,7 @@ object TemporalGraph {
       java.util.Arrays.sort(keys, start(lo), start(lo + 1))
       // compact the bucket's duplicate keys in place, to keys[start(lo), end)
       var end = start(lo)
-      var r = start(lo)
+      r = start(lo)
       while (r < start(lo + 1)) {
         if (end == start(lo) || keys(r) != keys(end - 1)) { keys(end) = keys(r); end += 1 }
         r += 1
@@ -161,12 +195,28 @@ object TemporalGraph {
         val hi = (keys(i) >>> 32).toInt
         var j = i + 1
         while (j < end && (keys(j) >>> 32).toInt == hi) j += 1
-        es += TEdge(lo, hi, Array.tabulate(j - i)(k => keys(i + k).toInt ^ Int.MinValue))
+        val ts = new Array[Int](j - i)
+        var k = 0
+        while (k < ts.length) { ts(k) = keys(i + k).toInt ^ Int.MinValue; k += 1 }
+        es += TEdge(lo, hi, ts)
         i = j
       }
       lo += 1
     }
     new TemporalGraph(es.result())
+  }
+
+  /** Interactions as three growing int columns, and the largest `lo`. */
+  private final class Columns(cap: Int) {
+    var lo = new Array[Int](cap); var hi = new Array[Int](cap); var t = new Array[Int](cap)
+    var n = 0; var maxLo = -1
+    def add(a: Int, b: Int, x: Int): Unit = {
+      if (n == lo.length) {
+        lo = java.util.Arrays.copyOf(lo, 2 * n); hi = java.util.Arrays.copyOf(hi, 2 * n); t = java.util.Arrays.copyOf(t, 2 * n)
+      }
+      lo(n) = a; hi(n) = b; t(n) = x; n += 1
+      if (a > maxLo) maxLo = a
+    }
   }
 
   /** Convenience for tests: edges given as `(u, v, timestamps)`. */

@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.tgraph.TemporalGraphGen
 
 /** The static build at the scale of the benchmark: on the email-lite and
-  * wikitalk-lite analogs, MBA and DBA give the same table, the level
+  * wikitalk-lite analogs, MBA and DBA give the same table, each equal to
+  * its kernel run on the whole triangle list as one part, the level
   * orders both builders wrote equal the reference built from the spans
   * alone, and their TC and DC are canonically equal. On wikitalk-lite
   * that covers 47 levels of some 10K blocks, all entered by the builders'
@@ -19,6 +20,9 @@ class BenchScaleBuildSpec extends AnyFunSuite {
       val mba = MBA.build(ts)
       val dba = DBA.build(ts)
       assert(mba == dba, s"$name: DBA diverged from MBA")
+      assert(mba == MBA.sweep(ts), s"$name: MBA's assembled parts diverged from its kernel on the whole list")
+      assert(dba == DBA.decompose(ts), s"$name: DBA's assembled parts diverged from its kernel on the whole list")
+      assert(mba.orderMoveNanos == 0 && dba.orderMoveNanos == 0, s"$name: an assembly moved an entry")
       val ref = Canonical.levelsOf(mba)
       Canonical.same(Canonical.levels(mba), ref, s"$name: MBA's level orders diverged from the reference")
       Canonical.same(Canonical.levels(dba), ref, s"$name: DBA's level orders diverged from the reference")

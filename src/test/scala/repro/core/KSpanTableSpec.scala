@@ -184,6 +184,18 @@ class KSpanTableSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](t.raise(e, t.trn(e) - 1))
   }
 
+  test("allocate shares one empty row across trussness 2, and raising one such edge leaves the others empty") {
+    for (t <- Seq(KSpanTable.allocate(Array(2, 3, 2, 2, 4, 2), 5), table(7))) {
+      val flat = (0 until t.m).filter(t.trn(_) == 2)
+      assert(flat.size >= 2, "the table needs two trussness-2 edges")
+      assert(flat.forall(e => t.spans(e) eq t.spans(flat.head)), "the trussness-2 rows are not one shared array")
+      val e = flat.head
+      t.raise(e, 4); t.setSpan(e, 3, 1); t.setSpan(e, 4, 2)
+      assert(t.trn(e) == 4 && t.spans(e).toSeq == Seq(1, 2))
+      for (f <- flat.tail) assert(t.trn(f) == 2 && t.spans(f).isEmpty, s"edge $f: a raise of edge $e reached its row")
+    }
+  }
+
   test("level orders: appendEdge, before and after the first move") {
     for (moveFirst <- Seq(false, true)) {
       val t = oneLevel(3, 1, 2)
