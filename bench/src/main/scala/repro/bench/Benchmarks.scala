@@ -129,24 +129,24 @@ object Benchmarks {
         f"DBA=$dbaMs%10.1f ms  MBA=$mbaMs%10.1f ms"
   }
 
-  /** Min-of-N with alternating order and a GC between measurements — the
-    * two builders allocate hundreds of MB per run, so a mean is dominated by
-    * whichever run eats the collection pause.
+  /** Min-of-N, with a GC before each run and the builder that runs first
+    * alternating from rep to rep — the two builders allocate hundreds of MB
+    * per run, so a mean is dominated by whichever run eats the collection
+    * pause, and a fixed order would hand one builder the other's garbage
+    * on every rep. MBA leads DBA by only 1.2× on some analogs, so one
+    * pause could flip their order.
     */
   def constructionBench(spark: SparkSession, cfg: GenConfig,
-                        reps: Int = 3): ConstructionRow = {
+                        reps: Int = 5): ConstructionRow = {
     val p = prepare(spark, cfg)
     DBA.build(p.ts); MBA.build(p.ts) // warmup both paths
+    def run(build: TriangleSet => KSpanTable): Double = { System.gc(); timeMs(build(p.ts))._2 }
     var dbaMs = Double.MaxValue
     var mbaMs = Double.MaxValue
     var i = 0
     while (i < reps) {
-      System.gc()
-      val (_, d) = timeMs(DBA.build(p.ts))
-      System.gc()
-      val (_, m) = timeMs(MBA.build(p.ts))
-      if (d < dbaMs) dbaMs = d
-      if (m < mbaMs) mbaMs = m
+      if (i % 2 == 0) { dbaMs = math.min(dbaMs, run(DBA.build)); mbaMs = math.min(mbaMs, run(MBA.build)) }
+      else { mbaMs = math.min(mbaMs, run(MBA.build)); dbaMs = math.min(dbaMs, run(DBA.build)) }
       i += 1
     }
     val (_, size) = Split.components(p.ts)

@@ -18,8 +18,9 @@ import repro.truss.TrussDecomposition
   *
   * Like [[MBA]], [[build]] runs this per-k loop ([[decompose]], the
   * kernel, with its own [[LevelPeel]]) on each part of [[Split]] in
-  * parallel, so Fig 14 compares the two sweeps through the same split: a
-  * part's loop stops at the part's own kmax.
+  * parallel, and [[KSpanTable.union]] makes the parts' tables one, so
+  * Fig 14 compares the two sweeps through the same split: a part's loop
+  * stops at the part's own kmax.
   */
 object DBA {
 

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.triangles.TriangleSet
+
 /** The complete answer substrate of both indexes: for every edge `e` and
   * every `3 ≤ k ≤ trn(e)`, the k-span of Definition 5 — the smallest δ such
   * that the (k, δ)-truss contains `e`.
@@ -9,29 +11,33 @@ package repro.core
   * of this table's level orders, and DC-Index a lossless compression
   * derived from them.
   *
-  * The one k-span store of the static build and of §VI maintenance: MBA and
-  * DBA fill a table from [[KSpanTable.allocate]], and the maintenance state
-  * grows and repairs its own [[copy]] in place through the `private[repro]`
-  * mutators. Only this class knows the row layout and writes trussness:
-  * the k-span of `e` at level k sits in slot `k − 3` of row `e`, a row has
-  * `trn(e) − 2` slots, a slot no algorithm has written yet holds −1, and
-  * `kMax` is the largest `trn`. [[raise]] alone changes that shape.
+  * The one k-span store of the static build and of §VI maintenance: MBA's
+  * and DBA's kernels fill a table from [[KSpanTable.allocate]] for each
+  * part of a split build, [[KSpanTable.union]] makes the parts' tables
+  * one, and the maintenance state grows and repairs its own [[copy]] in
+  * place through the `private[repro]` mutators. Only this class knows the
+  * row layout and writes trussness: the k-span of `e` at level k sits in
+  * slot `k − 3` of row `e`, a row has `trn(e) − 2` slots, a slot no
+  * algorithm has written yet holds −1, and `kMax` is the largest `trn`.
+  * [[raise]] alone changes that shape.
   *
   * The table also keeps every level k in TC order, as a [[Level]]: `E_k`,
   * the edges with `trn ≥ k` in descending k-span, and its `D_k` directory
   * of distinct spans and block offsets. The orders exist from the moment
   * the table does: [[allocate]] makes each level with room for exactly its
-  * `|E_k|` entries, and the first [[setSpan]] of a slot, the builders' or
+  * `|E_k|` entries, and the first [[setSpan]] of a slot, the kernels' or
   * §VI's after a `raise`, enters its edge through `Level.add`, the one
-  * way into a level. MBA and DBA write each level in descending span, as
-  * §V's sweeps settle the k-spans, so their entries land in place and the
-  * build sorts nothing. From then on the mutators keep the orders current
-  * with the bin-sort moves of Batagelj and Zaveršnik (2003): a changed
-  * entry crosses the block boundaries between its old and its new span,
-  * one edge moved per boundary, `O(blocks crossed)` plus `O(|D_k|)` when a
-  * block appears or empties; a new slot enters its level at the tail and
-  * moves up the same way, once, to the span it is first given. Every such
-  * crossing goes through `Level.relocate`, which alone reads the clock of
+  * way into a level, which `union` also calls, block by block. The
+  * kernels write each level in descending span, as §V's sweeps settle the
+  * k-spans, and `union` enters the parts' blocks in descending span, so
+  * every entry of a build lands in place and no entry is sorted. From
+  * then on the mutators keep the orders current with the bin-sort moves
+  * of Batagelj and Zaveršnik (2003): a changed entry crosses the block
+  * boundaries between its old and its new span, one edge moved per
+  * boundary, `O(blocks crossed)` plus `O(|D_k|)` when a block appears or
+  * empties; a new slot enters its level at the tail and moves up the same
+  * way, once, to the span it is first given. Every such crossing goes
+  * through `Level.relocate`, which alone reads the clock of
   * [[orderMoveNanos]]; builders never relocate. The table keeps no index
   * of an entry's position, which would cost an int per entry and a row per
   * edge: a changed entry is found by a scan of its old block, so a move
@@ -239,9 +245,9 @@ final class KSpanTable private (
     }
 
     /** A new entry: `e` enters at the tail, inside the last block, and moves
-      * up to span `d` from there, so entries may arrive in any order. MBA
-      * and DBA add each level's entries in descending span, so theirs never
-      * move.
+      * up to span `d` from there, so entries may arrive in any order. The
+      * kernels and `union` add each level's entries in descending span, so
+      * theirs never move.
       */
     private[KSpanTable] def add(e: Int, d: Int): Unit = {
       stamp = mods
@@ -335,22 +341,74 @@ object KSpanTable {
     * mts only shrinks, it is an upper bound of it. Nothing is sized by it.
     */
   private[repro] def allocate(trn: Array[Int], deltaMax: Int): KSpanTable = {
+    val rows = new Array[Array[Int]](trn.length)
+    var e = 0
+    while (e < trn.length) {
+      if (trn(e) < 3) rows(e) = Array.emptyIntArray // shared: a row of no slots is never written
+      else { rows(e) = new Array[Int](trn(e) - 2); java.util.Arrays.fill(rows(e), -1) }
+      e += 1
+    }
+    sized(trn, rows, deltaMax)
+  }
+
+  /** The table of `m` edges that is the disjoint union of `parts`, the
+    * tables of the split's parts: local edge l of part p is edge
+    * `global(p)(l)`, and an edge in no part has trussness 2 and the shared
+    * empty row. The parts' rows become the table's rows, not copied, so
+    * no part may be used again. Level k is entered block by block: the
+    * parts' blocks of level k in descending span, by one stable sort, so
+    * blocks of equal span keep part order, and each block's entries in its
+    * part's order, so every entry lands at its level's tail, nothing
+    * moves, and two builds of one input give identical level arrays.
+    */
+  private[repro] def union(m: Int, deltaMax: Int, global: Array[Array[Int]], parts: Array[KSpanTable]): KSpanTable = {
+    val trn = new Array[Int](m)
+    java.util.Arrays.fill(trn, 2)
+    val rows = Array.fill(m)(Array.emptyIntArray)
+    for (p <- parts.indices) {
+      val g = global(p); val part = parts(p)
+      var l = 0
+      while (l < part.m) { trn(g(l)) = part.trn(l); rows(g(l)) = part.spans(l); l += 1 }
+    }
+    val t = sized(trn, rows, deltaMax)
+    var k = 3
+    while (k <= t.kMax) {
+      // the parts' blocks of level k, part by part, as (part, block, span)
+      val at = parts.indices.filter(parts(_).kMax >= k)
+      val n = at.map(parts(_).level(k).blocks).sum
+      val owner = new Array[Int](n); val block = new Array[Int](n); val span = new Array[Int](n)
+      var i = 0
+      for (p <- at) {
+        val lv = parts(p).level(k)
+        var b = 0
+        while (b < lv.blocks) { owner(i) = p; block(i) = b; span(i) = lv.span(b); i += 1; b += 1 }
+      }
+      val into = t.level(k)
+      val order = TriangleSet.descending(span)
+      i = 0
+      while (i < n) {
+        val j = order(i); val lv = parts(owner(j)).level(k); val g = global(owner(j))
+        var q = lv.start(block(j))
+        val end = lv.end(block(j))
+        while (q < end) { into.add(g(lv.edge(q)), span(j)); q += 1 }
+        i += 1
+      }
+      k += 1
+    }
+    t
+  }
+
+  /** The table over `trn` and `rows`, level k an empty order with room for
+    * exactly its `#{e : trn(e) ≥ k}` entries.
+    */
+  private def sized(trn: Array[Int], rows: Array[Array[Int]], deltaMax: Int): KSpanTable = {
     var top = 2
     var e = 0
     while (e < trn.length) { if (trn(e) > top) top = trn(e); e += 1 }
     // size(k − 3): the edges of trussness exactly k, then of at least k
     val size = new Array[Int](top - 2)
-    val rows = new Array[Array[Int]](trn.length)
     e = 0
-    while (e < trn.length) {
-      if (trn(e) >= 3) {
-        val row = new Array[Int](trn(e) - 2)
-        java.util.Arrays.fill(row, -1)
-        rows(e) = row
-        size(trn(e) - 3) += 1
-      } else rows(e) = Array.emptyIntArray // shared: a row of no slots is never written
-      e += 1
-    }
+    while (e < trn.length) { if (trn(e) >= 3) size(trn(e) - 3) += 1; e += 1 }
     var i = size.length - 2
     while (i >= 0) { size(i) += size(i + 1); i -= 1 }
     val t = new KSpanTable(trn, rows, trn.length, deltaMax, top)

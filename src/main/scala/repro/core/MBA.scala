@@ -32,7 +32,7 @@ import repro.truss.TrussDecomposition
   * A drop spreads only through triangles that share an edge, so [[build]]
   * runs this sweep ([[sweep]], the kernel) on each part of [[Split]], one
   * or more whole triangle-connected components over local edge ids, on
-  * every core, and assembles the table from the parts' level orders.
+  * every core, and [[KSpanTable.union]] makes the parts' tables one.
   */
 object MBA {
 

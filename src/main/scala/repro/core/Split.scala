@@ -14,27 +14,20 @@ import repro.triangles.TriangleSet
   * into parts made of whole components, by one union-find over each
   * triangle's edges; gives each part local edge ids, ascending in the
   * global ones; runs the builder's kernel on every part in parallel; and
-  * assembles the global table from the parts' tables.
+  * hands the parts' tables to [[KSpanTable.union]], which makes them one.
   *
   * Parts share no mutable state: each owns its [[TriangleSet]], its
-  * kernel's scratch and its local [[KSpanTable]], and only the assembly
-  * writes the global table. The partition is fixed by the input and the
-  * core count: the components, largest first, each go to the part with the
-  * fewest triangles so far (Graham's LPT rule), ties to the lower index,
-  * among four parts per core. With four, a component that costs more than
-  * its triangles suggest, like a large clique, still gets a part of its
-  * own, and the other parts even out the load around it. The calling
-  * thread works parts too, beside `availableProcessors − 1` tasks on the
-  * common pool, each taking the next part, largest first. A part is a few
-  * milliseconds of work, so the parts run as threads of the driver and not
-  * as Spark tasks, whose job and broadcast overheads would cost more than
-  * a part.
-  *
-  * The assembly writes each level once, in descending span, through
-  * `setSpan`: it merges the parts' level orders block by block, ties of
-  * span to the lower part index, so every entry lands in place, nothing
-  * moves and nothing is sorted, and two builds of one input give identical
-  * level arrays.
+  * kernel's scratch and its local [[KSpanTable]]. The partition is fixed
+  * by the input and the core count: the components, largest first, each
+  * go to the part with the fewest triangles so far (Graham's LPT rule),
+  * ties to the lower index, among four parts per core. With four, a
+  * component that costs more than its triangles suggest, like a large
+  * clique, still gets a part of its own, and the other parts even out the
+  * load around it. The calling thread works parts too, beside
+  * `availableProcessors − 1` tasks on the common pool, each taking the
+  * next part, largest first. A part is a few milliseconds of work, so the
+  * parts run as threads of the driver and not as Spark tasks, whose job
+  * and broadcast overheads would cost more than a part.
   */
 private[repro] object Split {
 
@@ -133,14 +126,14 @@ private[repro] object Split {
     TriangleSet.descending(load).map(p => Part(TriangleSet.fromPacked(quads(p), nEdges(p)), global(p)))
   }
 
-  /** The k-span table of `ts`: `kernel` run on every part, the parts'
-    * tables assembled. `kernel` must return the k-span table of the
+  /** The k-span table of `ts`: `kernel` run on every part, and the union
+    * of the parts' tables. `kernel` must return the k-span table of the
     * triangles it is given.
     */
   def build(ts: TriangleSet)(kernel: TriangleSet => KSpanTable): KSpanTable = {
     val workers = Runtime.getRuntime.availableProcessors
     val ps = parts(ts, 4 * workers)
-    assemble(ts, ps, runAll(ps, workers, kernel))
+    KSpanTable.union(ts.m, ts.deltaMax, ps.map(_.global), runAll(ps, workers, kernel))
   }
 
   /** Each part's table, the parts taken largest first by the calling thread
@@ -167,57 +160,5 @@ private[repro] object Split {
     done.await()
     failed.find(_ != null).foreach(t => throw t)
     tables
-  }
-
-  /** The global table from the parts' tables: their trussness scattered to
-    * global ids, then each level merged from the parts' level orders in
-    * descending span, each entry written once.
-    */
-  private def assemble(ts: TriangleSet, ps: Array[Part], tables: Array[KSpanTable]): KSpanTable = {
-    val trn = new Array[Int](ts.m)
-    java.util.Arrays.fill(trn, 2)
-    for (p <- ps.indices) {
-      val g = ps(p).global; val t = tables(p).trn
-      var l = 0
-      while (l < g.length) { trn(g(l)) = t(l); l += 1 }
-    }
-    val table = KSpanTable.allocate(trn, ts.deltaMax)
-    // per part: its level k, the next block of it to write and that block's
-    // span, −1 once the part's level is written
-    val lv = new Array[KSpanTable#Level](ps.length)
-    val blk = new Array[Int](ps.length)
-    val head = new Array[Int](ps.length)
-    var k = 3
-    while (k <= table.kMax) {
-      var d = -1 // the largest span of a block not yet written
-      var p = 0
-      while (p < ps.length) {
-        lv(p) = if (tables(p).kMax >= k) tables(p).level(k) else null
-        blk(p) = 0
-        head(p) = if (lv(p) != null && lv(p).blocks > 0) lv(p).span(0) else -1
-        if (head(p) > d) d = head(p)
-        p += 1
-      }
-      while (d >= 0) {
-        // every part's block of span d, in part order
-        var next = -1
-        p = 0
-        while (p < ps.length) {
-          if (head(p) == d) {
-            val l = lv(p); val b = blk(p); val g = ps(p).global
-            var i = l.start(b)
-            val end = l.end(b)
-            while (i < end) { table.setSpan(g(l.edge(i)), k, d); i += 1 }
-            blk(p) = b + 1
-            head(p) = if (b + 1 < l.blocks) l.span(b + 1) else -1
-          }
-          if (head(p) > next) next = head(p)
-          p += 1
-        }
-        d = next
-      }
-      k += 1
-    }
-    table
   }
 }

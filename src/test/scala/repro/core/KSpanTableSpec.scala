@@ -245,4 +245,85 @@ class KSpanTableSpec extends AnyFunSuite {
     assert(Canonical.tc(TCIndex.fromTable(a)) == Canonical.tc(TCIndex.fromTable(b)))
     assert(Canonical.dc(DCIndex.fromTable(a)) == Canonical.dc(DCIndex.fromTable(b)))
   }
+
+  // --- the union of a split build's parts ----------------------------------
+
+  /** A part over local ids `0 until trn.length`: allocated, then its spans
+    * written in a shuffled order, so its ties sit in no written order.
+    */
+  private def part(rnd: Random, trn: Array[Int], spans: Array[Array[Int]], deltaMax: Int): KSpanTable = {
+    val t = KSpanTable.allocate(trn, deltaMax)
+    for ((l, i) <- rnd.shuffle(for (l <- trn.indices; i <- spans(l).indices) yield (l, i))) t.setSpan(l, i + 3, spans(l)(i))
+    t
+  }
+
+  /** `union` equals the same spans written through `allocate` and
+    * `setSpan`, moves nothing, takes over the parts' rows, leaves an edge in
+    * no part at trussness 2 with an empty row, and fills each block with
+    * the parts' blocks of its span in part order, each in its part's order.
+    */
+  private def checkUnion(m: Int, deltaMax: Int, global: Array[Array[Int]], parts: Array[KSpanTable], ctx: String): Unit = {
+    val trn = Array.fill(m)(2)
+    val spans = Array.fill(m)(Array.emptyIntArray)
+    val owner = Array.fill(m)(-1)
+    for (p <- parts.indices; l <- 0 until parts(p).m) {
+      val e = global(p)(l)
+      trn(e) = parts(p).trn(l); spans(e) = parts(p).spans(l).clone(); owner(e) = p
+    }
+    val rows = parts.map(pt => (0 until pt.m).map(pt.spans(_)))
+    // part p's blocks, (level, span) -> its edges in its order, as global ids
+    val blocks = parts.indices.map { p =>
+      (for (k <- 3 to parts(p).kMax; lv = parts(p).level(k); b <- 0 until lv.blocks)
+        yield (k, lv.span(b)) -> (lv.start(b) until lv.end(b)).map(i => global(p)(lv.edge(i)))).toMap
+    }
+    val want = TestGraphs.table(trn, spans, deltaMax)
+    val t = KSpanTable.union(m, deltaMax, global, parts)
+    assert(t == want && t.kMax == want.kMax, s"$ctx: union != allocate + setSpan of the same spans")
+    assertSorted(t, ctx)
+    assert(t.orderMoveNanos == 0, s"$ctx: union moved an entry")
+    for (p <- parts.indices; l <- rows(p).indices)
+      assert(t.spans(global(p)(l)) eq rows(p)(l), s"$ctx: edge ${global(p)(l)}'s row is not part $p's row")
+    for (e <- 0 until m if owner(e) < 0)
+      assert(t.trn(e) == 2 && t.spans(e).isEmpty, s"$ctx: edge $e, in no part")
+    for (k <- 3 to t.kMax; lv = t.level(k); b <- 0 until lv.blocks) {
+      val got = (lv.start(b) until lv.end(b)).map(lv.edge)
+      val parted = blocks.flatMap(_.getOrElse((k, lv.span(b)), Nil))
+      assert(got == parted, s"$ctx: level $k's block of span ${lv.span(b)} is not the parts' blocks in part order")
+    }
+  }
+
+  test("union: hand-made parts with interleaved ids, equal spans across parts, unequal kMax, an edge in no part") {
+    val rnd = new Random(1)
+    val global = Array(Array(1, 4, 6, 8), Array(0, 3, 7), Array(2, 9))
+    val parts = Array(
+      part(rnd, Array(4, 3, 4, 3), Array(Array(7, 9), Array(2), Array(5, 9), Array(7)), 9),
+      part(rnd, Array(3, 3, 3), Array(Array(7), Array(3), Array(7)), 9), // kMax 3, below the others'
+      part(rnd, Array(5, 5), Array(Array(1, 4, 6), Array(7, 4, 8)), 9),
+    )
+    checkUnion(10, 9, global, parts, "hand-made") // edge 5 is in no part; span 7 of level 3 is in all three
+  }
+
+  test("union: zero parts give every edge trussness 2, an empty row and kMax 2") {
+    for (m <- Seq(0, 5)) {
+      val t = KSpanTable.union(m, 3, Array.empty, Array.empty)
+      assert(t.m == m && t.kMax == 2 && t.deltaMax == 3, s"m=$m")
+      checkUnion(m, 3, Array.empty, Array.empty, s"zero parts, m=$m")
+    }
+  }
+
+  test("union: random parts over shuffled global ids, few distinct spans") {
+    for (seed <- 0 until 20) {
+      val rnd = new Random(seed)
+      val m = 1 + rnd.nextInt(30)
+      val nParts = rnd.nextInt(5)
+      // each edge to a part or, one time in five, to none
+      val of = Array.fill(m)(if (nParts == 0 || rnd.nextInt(5) == 0) -1 else rnd.nextInt(nParts))
+      val global = Array.tabulate(nParts)(p => rnd.shuffle((0 until m).filter(of(_) == p)).toArray)
+      val parts = global.map { g =>
+        val trn = Array.fill(g.length)(3 + rnd.nextInt(4))
+        part(rnd, trn, trn.map(t => Array.fill(t - 2)(rnd.nextInt(4))), 3)
+      }
+      checkUnion(m, 3, global, parts, s"seed=$seed")
+    }
+  }
 }

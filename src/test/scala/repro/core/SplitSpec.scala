@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Refs._
 import repro.tgraph.TemporalGraph
@@ -119,5 +120,21 @@ class SplitSpec extends AnyFunSuite {
       val t = MBA.build(ts)
       assert(t.m == g.m && t.kMax == 2 && (0 until t.m).forall(e => t.trn(e) == 2 && t.spans(e).isEmpty), name)
     }
+  }
+
+  test("a kernel that throws on one part: build rethrows it on the calling thread, after the others ran") {
+    val ts = TestGraphs.tris(union(4, 4))
+    val nParts = Split.parts(ts, 4 * Runtime.getRuntime.availableProcessors).length
+    assert(nParts >= 2, "want several parts")
+    val boom = new IllegalStateException("a failed part")
+    val calls = new AtomicInteger(0)
+    val kernel: TriangleSet => KSpanTable = part => if (calls.getAndIncrement() == 1) throw boom else MBA.sweep(part)
+    @volatile var caught: Throwable = null
+    val caller = new Thread(() => try Split.build(ts)(kernel) catch { case t: Throwable => caught = t })
+    caller.start()
+    caller.join(60000)
+    assert(!caller.isAlive, "Split.build did not return")
+    assert(caught eq boom, s"Split.build threw $caught, not the kernel's throwable")
+    assert(calls.get == nParts, s"${calls.get} kernel calls for $nParts parts")
   }
 }
