@@ -359,9 +359,12 @@ object KSpanTable {
     * parts' blocks of level k in descending span, by one stable sort, so
     * blocks of equal span keep part order, and each block's entries in its
     * part's order, so every entry lands at its level's tail, nothing
-    * moves, and two builds of one input give identical level arrays.
+    * moves, and two builds of one input give identical level arrays. The
+    * levels are filled by [[Split.runAll]] on `workers` threads: a level's
+    * entries write only that level, and none relocates.
     */
-  private[repro] def union(m: Int, deltaMax: Int, global: Array[Array[Int]], parts: Array[KSpanTable]): KSpanTable = {
+  private[repro] def union(m: Int, deltaMax: Int, global: Array[Array[Int]], parts: Array[KSpanTable],
+                           workers: Int): KSpanTable = {
     val trn = new Array[Int](m)
     java.util.Arrays.fill(trn, 2)
     val rows = Array.fill(m)(Array.emptyIntArray)
@@ -371,8 +374,8 @@ object KSpanTable {
       while (l < part.m) { trn(g(l)) = part.trn(l); rows(g(l)) = part.spans(l); l += 1 }
     }
     val t = sized(trn, rows, deltaMax)
-    var k = 3
-    while (k <= t.kMax) {
+    Split.runAll(t.kMax - 2, workers) { slot =>
+      val k = slot + 3
       // the parts' blocks of level k, part by part, as (part, block, span)
       val at = parts.indices.filter(parts(_).kMax >= k)
       val n = at.map(parts(_).level(k).blocks).sum
@@ -393,7 +396,6 @@ object KSpanTable {
         while (q < end) { into.add(g(lv.edge(q)), span(j)); q += 1 }
         i += 1
       }
-      k += 1
     }
     t
   }

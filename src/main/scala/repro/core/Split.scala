@@ -133,32 +133,33 @@ private[repro] object Split {
   def build(ts: TriangleSet)(kernel: TriangleSet => KSpanTable): KSpanTable = {
     val workers = Runtime.getRuntime.availableProcessors
     val ps = parts(ts, 4 * workers)
-    KSpanTable.union(ts.m, ts.deltaMax, ps.map(_.global), runAll(ps, workers, kernel))
+    val tables = new Array[KSpanTable](ps.length)
+    runAll(ps.length, workers)(p => tables(p) = kernel(ps(p).ts))
+    KSpanTable.union(ts.m, ts.deltaMax, ps.map(_.global), tables, workers)
   }
 
-  /** Each part's table, the parts taken largest first by the calling thread
-    * and up to `workers − 1` common-pool tasks. A kernel's failure is
-    * rethrown on the calling thread.
+  /** `task(i)` for every `i < n`, each `i` claimed in ascending order by
+    * the calling thread or one of up to `workers − 1` common-pool tasks,
+    * which take the next unclaimed `i` until none is left. A task's
+    * failure is rethrown on the calling thread.
     */
-  private def runAll(ps: Array[Part], workers: Int, kernel: TriangleSet => KSpanTable): Array[KSpanTable] = {
-    val tables = new Array[KSpanTable](ps.length)
-    val failed = new Array[Throwable](ps.length)
+  private[core] def runAll(n: Int, workers: Int)(task: Int => Unit): Unit = {
+    val failed = new Array[Throwable](n)
     val next = new AtomicInteger(0)
-    // counted down once per part, so the caller waits only for claimed parts
-    val done = new CountDownLatch(ps.length)
+    // counted down once per task, so the caller waits only for claimed ones
+    val done = new CountDownLatch(n)
     val work: Runnable = () => {
-      var p = next.getAndIncrement()
-      while (p < ps.length) {
-        try tables(p) = kernel(ps(p).ts)
-        catch { case t: Throwable => failed(p) = t }
+      var i = next.getAndIncrement()
+      while (i < n) {
+        try task(i)
+        catch { case t: Throwable => failed(i) = t }
         done.countDown()
-        p = next.getAndIncrement()
+        i = next.getAndIncrement()
       }
     }
-    for (_ <- 1 until math.min(workers, ps.length)) ForkJoinPool.commonPool().execute(work)
+    for (_ <- 1 until math.min(workers, n)) ForkJoinPool.commonPool().execute(work)
     work.run()
     done.await()
     failed.find(_ != null).foreach(t => throw t)
-    tables
   }
 }

@@ -205,13 +205,16 @@ object IndexMaintenance {
         if (table.trn(a) >= k && table.trn(b) >= k && table.trn(c) >= k) {
           val dm = math.max(table.span(a, k), math.max(table.span(b, k), table.span(c, k)))
           val mtsNew = ts.mts(tid)
-          // Lemma 5 skip: an already-valid-below-δm or still-above-δm
-          // triangle changes nothing; for a triangle new to the k-world the
-          // equality case must be kept (its edges' span entries are only
-          // estimates that still need verification).
-          val skip =
-            if (newAbove(i) < k) mtsNew > dm
-            else oldMts(i) < dm || mtsNew >= dm
+          // Lemma 5 skip: a triangle at mts ≥ δm is valid only where its
+          // three edges are members already, and one that is not new to the
+          // k-world and was valid below δm before changes nothing either.
+          // For a triangle new to the k-world, δm is the joint Lemma-7
+          // estimate of its newish edges, which covers every settled
+          // companion's span; if each such triangle sits at mts = δm, no
+          // newish edge has valid support below δm, so the estimate is
+          // exact and nothing else changes: at δ ≥ δm the new truss is the
+          // old one plus the newish edges.
+          val skip = mtsNew >= dm || (newAbove(i) >= k && oldMts(i) < dm)
           if (skip) skips += 1
           else {
             kept(nKept) = tid; nKept += 1

@@ -138,9 +138,7 @@ object TemporalGraphGen {
     * unchanged.
     */
   def coarsen(g: TemporalGraph, factor: Int): TemporalGraph =
-    TemporalGraph.fromInteractions(
-      g.edges.iterator.flatMap(e => e.ts.iterator.map(t => (e.u, e.v, t / factor))).toSeq
-    )
+    TemporalGraph.fromInteractions(g.interactions.map { case (u, v, t) => (u, v, t / factor) }.toSeq)
 
   /** The eight dataset analogs (paper Table I, scaled down ~2–100× in |E|
     * so the full bench suite runs on one node; horizons `n` kept at the

@@ -176,26 +176,9 @@ object TriangleSet {
 final case class GraphArrays(upStart: Array[Int], up: Array[Long], tsStart: Array[Int], ts: Array[Int])
 
 object GraphArrays {
-  def of(g: TemporalGraph): GraphArrays = {
-    // the entries of neighbors > x are the suffix of x's row from first(x),
-    // where a search for the self loop (x, 0), which no row holds, ends
-    val first = Array.tabulate(g.nVertexIds)(x => -java.util.Arrays.binarySearch(g.adj(x), x.toLong << 32) - 1)
-    val upStart = starts(g.nVertexIds, x => g.adj(x).length - first(x))
-    val up = new Array[Long](upStart.last)
-    g.adj.indices.foreach(x => System.arraycopy(g.adj(x), first(x), up, upStart(x), upStart(x + 1) - upStart(x)))
-    val tsStart = starts(g.m, g.edges(_).ts.length)
-    val ts = new Array[Int](tsStart.last)
-    g.edges.indices.foreach(e => System.arraycopy(g.edges(e).ts, 0, ts, tsStart(e), g.edges(e).ts.length))
-    GraphArrays(upStart, up, tsStart, ts)
-  }
 
-  /** Offsets of `n` rows of length `len(i)` laid end to end, plus the end. */
-  private def starts(n: Int, len: Int => Int): Array[Int] = {
-    val out = new Array[Int](n + 1)
-    var i = 0
-    while (i < n) { out(i + 1) = out(i) + len(i); i += 1 }
-    out
-  }
+  /** The graph's own columns, not copied. */
+  def of(g: TemporalGraph): GraphArrays = GraphArrays(g.upStart, g.up, g.tsStart, g.ts)
 }
 
 /** Driver-side triangle enumeration. Its kernel [[enumerateRange]] also runs

@@ -1,8 +1,8 @@
 package repro
 
 import repro.core.KSpanTable
-import repro.tgraph.TemporalGraph
-import repro.triangles.TriangleSet
+import repro.tgraph.{TEdge, TemporalGraph}
+import repro.triangles.{GraphArrays, TriangleSet}
 
 /** Reference implementations that only tests call, beside [[Oracle]] and
   * `GridDC`: the slow, obvious form of what the system computes, which a
@@ -57,6 +57,43 @@ object Refs {
     def spanEdges(d: Int): Array[Int] =
       (0 until lv.blocks).find(lv.span(_) == d)
         .fold(Array.emptyIntArray)(b => (lv.start(b) until lv.end(b)).map(lv.edge).toArray)
+  }
+
+  /** The two-sided packed adjacency of `edges`, edge id = index: each
+    * vertex's `(neighbor << 32) | edgeId` entries, sorted, by a sort of all
+    * of them.
+    */
+  def adjacency(edges: Array[TEdge]): Array[Array[Long]] = {
+    val n = edges.foldLeft(0)((top, e) => math.max(top, e.v + 1))
+    val entries = edges.indices.flatMap(i => Seq(edges(i).u -> i, edges(i).v -> i).map { case (x, j) =>
+      x -> ((edges(j).u + edges(j).v - x).toLong << 32 | j) })
+    val byVertex = entries.groupMap(_._1)(_._2)
+    Array.tabulate(n)(x => byVertex.getOrElse(x, Nil).sorted.toArray)
+  }
+
+  /** The CSR arrays of a graph copied out of its `adj` rows and `edges`:
+    * the upper adjacency is the suffix of each row past the vertex itself,
+    * and the timestamps are the edges' arrays end to end.
+    */
+  def graphArrays(adj: Array[Array[Long]], edges: Array[TEdge]): GraphArrays = {
+    // the entries of neighbors > x are the suffix of x's row from first(x),
+    // where a search for the self loop (x, 0), which no row holds, ends
+    val first = Array.tabulate(adj.length)(x => -java.util.Arrays.binarySearch(adj(x), x.toLong << 32) - 1)
+    val upStart = starts(adj.length, x => adj(x).length - first(x))
+    val up = new Array[Long](upStart.last)
+    adj.indices.foreach(x => System.arraycopy(adj(x), first(x), up, upStart(x), upStart(x + 1) - upStart(x)))
+    val tsStart = starts(edges.length, edges(_).ts.length)
+    val ts = new Array[Int](tsStart.last)
+    edges.indices.foreach(e => System.arraycopy(edges(e).ts, 0, ts, tsStart(e), edges(e).ts.length))
+    GraphArrays(upStart, up, tsStart, ts)
+  }
+
+  /** Offsets of `n` rows of length `len(i)` laid end to end, plus the end. */
+  private def starts(n: Int, len: Int => Int): Array[Int] = {
+    val out = new Array[Int](n + 1)
+    var i = 0
+    while (i < n) { out(i + 1) = out(i) + len(i); i += 1 }
+    out
   }
 
   implicit final class GraphRefs(private val g: TemporalGraph) extends AnyVal {

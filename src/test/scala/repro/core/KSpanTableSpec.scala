@@ -277,8 +277,15 @@ class KSpanTableSpec extends AnyFunSuite {
         yield (k, lv.span(b)) -> (lv.start(b) until lv.end(b)).map(i => global(p)(lv.edge(i)))).toMap
     }
     val want = TestGraphs.table(trn, spans, deltaMax)
-    val t = KSpanTable.union(m, deltaMax, global, parts)
+    val t = KSpanTable.union(m, deltaMax, global, parts, workers = 4)
     assert(t == want && t.kMax == want.kMax, s"$ctx: union != allocate + setSpan of the same spans")
+    // the levels filled on four threads are those filled on one, array for array
+    val seq = KSpanTable.union(m, deltaMax, global, parts, workers = 1)
+    for (k <- 3 to t.kMax; (a, b) = (t.level(k), seq.level(k)))
+      assert(a.size == b.size && a.blocks == b.blocks &&
+        java.util.Arrays.equals(a.edgeArray, 0, a.size, b.edgeArray, 0, b.size) &&
+        (0 until a.blocks).forall(i => a.span(i) == b.span(i) && a.start(i) == b.start(i)),
+        s"$ctx: level $k differs from the sequential union's")
     assertSorted(t, ctx)
     assert(t.orderMoveNanos == 0, s"$ctx: union moved an entry")
     for (p <- parts.indices; l <- rows(p).indices)
@@ -305,7 +312,7 @@ class KSpanTableSpec extends AnyFunSuite {
 
   test("union: zero parts give every edge trussness 2, an empty row and kMax 2") {
     for (m <- Seq(0, 5)) {
-      val t = KSpanTable.union(m, 3, Array.empty, Array.empty)
+      val t = KSpanTable.union(m, 3, Array.empty, Array.empty, workers = 4)
       assert(t.m == m && t.kMax == 2 && t.deltaMax == 3, s"m=$m")
       checkUnion(m, 3, Array.empty, Array.empty, s"zero parts, m=$m")
     }

@@ -2,7 +2,8 @@ package repro.triangles
 
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
-import repro.core.TestGraphs
+import repro.core.{MBA, TestGraphs}
+import repro.core.maintenance.{DynamicState, IndexMaintenance}
 import repro.dist.GraphXCheck
 import repro.tgraph.{TemporalGraph, TemporalGraphGen}
 
@@ -43,6 +44,8 @@ class TriangleEnumSpec extends SparkSpec {
     * and the DuckDB SQL oracle as vertex triples with mts.
     */
   private def assertPathsAgree(g: TemporalGraph): Unit = {
+    val arrays = GraphArrays.of(g) // the graph's own columns, which the job broadcasts
+    assert((arrays.upStart eq g.upStart) && (arrays.up eq g.up) && (arrays.tsStart eq g.tsStart) && (arrays.ts eq g.ts))
     val viaJob = TriangleEnum.triangleSet(spark, g)
     val viaDriver = DriverTriangles.enumerate(g)
     assert(viaJob.m == g.m)
@@ -70,6 +73,23 @@ class TriangleEnumSpec extends SparkSpec {
     test(s"$name: Spark and driver agree") {
       assertPathsAgree(g)
     }
+  }
+
+  test("maintained graph's snapshot, ids out of (u, v) order: Spark, driver and DuckDB agree") {
+    val g = TestGraphs.random(21)
+    val ts = DriverTriangles.enumerate(g)
+    val st = DynamicState.fromGraph(g, ts, MBA.build(ts))
+    val rnd = new scala.util.Random(21)
+    // new pairs, some at new vertices, appended as new edges; new stamps on old ones
+    for (_ <- 0 until 40) {
+      val u = rnd.nextInt(17); val v = (u + 1 + rnd.nextInt(16)) % 17
+      IndexMaintenance.insert(st, u, v, rnd.nextInt(30))
+    }
+    val snap = st.snapshotGraph
+    assert(snap.m > g.m && !snap.up.indices.forall(p => TemporalGraph.eidOf(snap.up(p)) == p))
+    assertPathsAgree(snap)
+    val order = Ordering.by((t: Tri) => (t.e1, t.e2, t.e3, t.mts))
+    assert(DriverTriangles.enumerate(snap).tris.sorted(order).toSeq == st.snapshotTriangles.tris.sorted(order).toSeq)
   }
 
   test("oracle: triangle-with-mts result matches DuckDB SQL over exploded temporal edges") {
