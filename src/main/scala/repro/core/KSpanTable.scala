@@ -225,23 +225,20 @@ final class KSpanTable private (
 
     /** The position of the first edge of span ≤ `d`, or `size` if none. */
     def firstAtMost(d: Int): Int = {
+      val b = firstBlockAtMost(d)
+      if (b == nb) n else offs(b)
+    }
+
+    /** The first block of span ≤ `d`, or `blocks` if none: one binary
+      * search of the descending keys of `D_k`.
+      */
+    private def firstBlockAtMost(d: Int): Int = {
       var lo = 0; var hi = nb
       while (lo < hi) {
         val mid = (lo + hi) >>> 1
         if (keys(mid) <= d) hi = mid else lo = mid + 1
       }
-      if (lo == nb) n else offs(lo)
-    }
-
-    /** The block of span `d`, or −1. */
-    private def block(d: Int): Int = {
-      var lo = 0; var hi = nb - 1
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        if (keys(mid) == d) return mid
-        if (keys(mid) > d) lo = mid + 1 else hi = mid - 1
-      }
-      -1
+      lo
     }
 
     /** A new entry: `e` enters at the tail, inside the last block, and moves
@@ -261,7 +258,8 @@ final class KSpanTable private (
     /** A changed entry: `e` moves from span `old` to span `nu`. */
     private[KSpanTable] def move(e: Int, old: Int, nu: Int): Unit = {
       stamp = mods
-      val b = block(old)
+      val b = firstBlockAtMost(old)
+      assert(b < nb && keys(b) == old, s"edge $e has no block of its span $old")
       var p = offs(b)
       while (es(p) != e) p += 1
       relocate(e, p, b, nu)

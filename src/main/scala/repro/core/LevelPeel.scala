@@ -4,13 +4,14 @@ import repro.triangles.TriangleSet
 
 /** The support peel of one level k, the one kernel of [[DBA]], of the
   * verification step of §VI's Algorithm 2, of [[repro.truss.TrussInsert]]
-  * and of [[OnlineQuery]].
+  * and of [[OnlineQuery]], and the one region search of §VI, [[grow]],
+  * which collects GAS's region and TrussInsert's candidates.
   *
-  * A call — [[begin]], then [[addMember]] and [[addTriangle]], then [[run]]
-  * or [[fixpoint]] — is given a level k, the member edges that may be peeled
-  * and their triangles. Every given triangle starts valid. Edges of the
-  * given triangles that are not members are fixed support: they are never
-  * peeled.
+  * A call — [[begin]], then [[addMember]], [[addTriangle]] and [[grow]],
+  * then [[run]] or [[fixpoint]] — is given a level k, the member edges that
+  * may be peeled and their triangles. Every given triangle starts valid.
+  * Edges of the given triangles that are not members are fixed support:
+  * they are never peeled.
   *
   *  - [[run]] is §V-A's decremental peel over δ (`decomph`). The triangles
   *    come in descending mts order, every member must have at least k − 2
@@ -27,9 +28,8 @@ import repro.triangles.TriangleSet
   *
   * Members and triangles are marked in primitive arrays stamped with the
   * call's epoch, so a call costs time in its triangles and its members'
-  * incidence rows, not O(m) or O(|Δ|). A caller
-  * collecting the members and triangles by search, like GAS, dedupes them
-  * through the same marks.
+  * incidence rows, not O(m) or O(|Δ|). [[grow]] reads the same marks, so
+  * it tests no triangle the call already holds.
   */
 private[repro] final class LevelPeel(ts: TriangleSet) {
   private var epoch = 0
@@ -69,9 +69,6 @@ private[repro] final class LevelPeel(ts: TriangleSet) {
 
   def memberCount: Int = nMembers
 
-  /** The `i`-th member added in this call. */
-  def member(i: Int): Int = members(i)
-
   /** Give triangle `tid` to the call; a no-op if it already was. */
   def addTriangle(tid: Int): Unit = if (triMark(tid) != epoch) {
     triMark(tid) = epoch
@@ -79,6 +76,32 @@ private[repro] final class LevelPeel(ts: TriangleSet) {
   }
 
   def triangleCount: Int = nTris
+
+  /** Grow the call breadth-first. Walk the members in the order they were
+    * added, those from before this call first, then those it adds. Each
+    * triangle of a member's incidence row that the call does not hold yet
+    * and that `admits` is given to the call, and each of its edges that
+    * `joins` becomes a member. The two predicates must not change during
+    * the call: a triangle the call holds is not tested again, and `joins`
+    * is not asked about a member.
+    */
+  def grow(admits: Int => Boolean)(joins: Int => Boolean): Unit = {
+    @inline def reach(e: Int): Unit = if (edgeMark(e) != epoch && joins(e)) addMember(e)
+    var next = 0
+    while (next < nMembers) {
+      val incident = ts.byEdge(members(next))
+      next += 1
+      var ti = 0
+      while (ti < incident.length) {
+        val tid = incident(ti)
+        if (triMark(tid) != epoch && admits(tid)) {
+          addTriangle(tid)
+          reach(ts.e1(tid)); reach(ts.e2(tid)); reach(ts.e3(tid))
+        }
+        ti += 1
+      }
+    }
+  }
 
   private def appended(buf: Array[Int], n: Int, x: Int): Array[Int] = {
     val out = if (n == buf.length) java.util.Arrays.copyOf(buf, 2 * n) else buf

@@ -28,11 +28,11 @@ import repro.truss.TrussInsert
   *     interval `[δ−, δ+]` (we merge all per-triangle intervals into one —
   *     a superset of the paper's disjoint-interval union, trading a little
   *     verification work for a simpler invariant).
-  *  3. **Filter of edge / GAS** (Algorithm 1): BFS from the affected
-  *     triangles through triangles of k-rank ≤ δ+, collecting the region of
+  *  3. **Filter of edge / GAS** (Algorithm 1): from the edges of the
+  *     affected triangles, one [[repro.core.LevelPeel]]`.grow` of the
+  *     state's peel through triangles of k-rank ≤ δ+ collects the region of
   *     edges with current k-span inside the interval plus the local
-  *     δ-triangle list, marked in the stamped arrays of the state's
-  *     [[repro.core.LevelPeel]].
+  *     δ-triangle list, marked in the peel's stamped arrays.
   *  4. **Verification**: run the [[repro.core.LevelPeel]] kernel, DBA's
   *     `decomph` peeling, on the region from δ+ down to δ−. Edges outside
   *     the region that appear in local triangles necessarily have
@@ -255,34 +255,21 @@ object IndexMaintenance {
     val ts = st.ts
     val table = st.tableView
     val peel = st.levelPeel
-    @inline def inKWorld(e: Int): Boolean = table.trn(e) >= k
-    @inline def reach(e: Int): Unit = {
+    @inline def inRegion(e: Int): Boolean = {
       val d = table.span(e, k)
-      if (d >= dMinus && d <= dPlus) peel.addMember(e)
+      d >= dMinus && d <= dPlus
     }
+    // a local triangle: in the k-world, of k-rank ≤ δ+
+    @inline def local(tid: Int): Boolean = {
+      val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
+      table.trn(a) >= k && table.trn(b) >= k && table.trn(c) >= k &&
+        math.max(ts.mts(tid), math.max(table.span(a, k), math.max(table.span(b, k), table.span(c, k)))) <= dPlus
+    }
+    @inline def reach(e: Int): Unit = if (inRegion(e)) peel.addMember(e)
 
-    // --- region BFS over the members as they are added ------------------
     peel.begin()
     for (i <- 0 until nSeeds) { val tid = seedTris(i); reach(ts.e1(tid)); reach(ts.e2(tid)); reach(ts.e3(tid)) }
-    var next = 0
-    while (next < peel.memberCount) {
-      val incident = ts.byEdge(peel.member(next))
-      next += 1
-      var ti = 0
-      while (ti < incident.length) {
-        val tid = incident(ti)
-        val a = ts.e1(tid); val b = ts.e2(tid); val c = ts.e3(tid)
-        if (inKWorld(a) && inKWorld(b) && inKWorld(c)) {
-          val rank = math.max(ts.mts(tid),
-            math.max(table.span(a, k), math.max(table.span(b, k), table.span(c, k))))
-          if (rank <= dPlus) {
-            peel.addTriangle(tid)
-            reach(a); reach(b); reach(c)
-          }
-        }
-        ti += 1
-      }
-    }
+    peel.grow(local)(inRegion)
   }
 
   /** The local [[LevelPeel]] verification of the region [[gas]] marked,

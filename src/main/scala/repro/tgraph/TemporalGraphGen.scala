@@ -135,10 +135,13 @@ object TemporalGraphGen {
   /** Coarsen time granularity by merging every `factor` consecutive
     * timestamps into one (the paper's Fig 15 experiment: e.g. day → month),
     * which shrinks `δmax` but leaves the static graph — and hence `kmax` —
-    * unchanged.
+    * unchanged. Stamp `t` goes to bucket `⌊t / factor⌋`, rounded down on
+    * both sides of 0, so every bucket covers exactly `factor` stamps.
     */
-  def coarsen(g: TemporalGraph, factor: Int): TemporalGraph =
-    TemporalGraph.fromInteractions(g.interactions.map { case (u, v, t) => (u, v, t / factor) }.toSeq)
+  def coarsen(g: TemporalGraph, factor: Int): TemporalGraph = {
+    require(factor >= 1, s"coarsening factor must be at least 1, got $factor")
+    TemporalGraph.fromInteractions(g.interactions.map { case (u, v, t) => (u, v, Math.floorDiv(t, factor)) }.toSeq)
+  }
 
   /** The eight dataset analogs (paper Table I, scaled down ~2–100× in |E|
     * so the full bench suite runs on one node; horizons `n` kept at the

@@ -2,11 +2,11 @@ package repro.truss
 
 import repro.triangles.TriangleSet
 
-/** Classic bucket-peeling truss decomposition (Wang & Cheng, PVLDB'12),
-  * over any subset of the triangles of a [[TriangleSet]].
+/** Classic bucket-peeling truss decomposition (Wang & Cheng, PVLDB'12)
+  * over the triangles of a [[TriangleSet]].
   *
-  * Over all triangles it computes ordinary edge trussness; over the
-  * triangles with `mts(Δ) ≤ δ` it computes δ-trussness, whose ≥k level
+  * Over all triangles it computes ordinary edge trussness; over a store of
+  * the triangles with `mts(Δ) ≤ δ` it computes δ-trussness, whose ≥k level
   * sets are exactly the paper's (k, δ)-trusses (mts is a property of the
   * triangle's own timestamp sets, unaffected by subgraph restriction, so
   * the standard peeling hierarchy argument carries over verbatim).
@@ -48,13 +48,11 @@ object TrussDecomposition {
     (start, inc)
   }
 
-  /** Trussness of every edge, counting only valid triangles.
-    *
-    * Returns `trn` with `trn(e) ≥ 2`; the (k, δ)-truss is
-    * `{e : trn(e) ≥ k}` when `valid` selects δ-triangles.
+  /** Trussness of every edge of `ts` over its triangles: `trn(e) ≥ 2`, and
+    * the k-truss is `{e : trn(e) ≥ k}`.
     */
-  def trussness(ts: TriangleSet, valid: Int => Boolean = _ => true): Array[Int] = {
-    val (start, inc) = incidence(ts, Array.range(0, ts.size).filter(valid))
+  def trussness(ts: TriangleSet): Array[Int] = {
+    val (start, inc) = incidence(ts, Array.range(0, ts.size))
     peel(start, inc)
   }
 

@@ -15,9 +15,10 @@ import repro.triangles.TriangleSet
   *  1. bounds `trn(e0, G+) ∈ [k1, k2]` from the trussness of the edges it
   *     forms triangles with (`k2 = max_i min(key_i + 1, i + 2)` over the
   *     descending `key_i = min` trussness of the two companion edges);
-  *  2. for each level `k ≤ k2` while `e0` survives, BFS-collects the
-  *     candidates triangle-connected to `e0` through triangles whose other
-  *     edges are candidates or settled (old trussness ≥ k), and
+  *  2. for each level `k ≤ k2` while `e0` survives, collects the
+  *     candidates triangle-connected to `e0` through triangles whose
+  *     edges are all candidates or settled (old trussness ≥ k), by one
+  *     [[LevelPeel.grow]] from `e0`, and
   *  3. runs the [[LevelPeel]] support fixpoint on them, with the settled
   *     edges as fixed support; the survivors rise to k.
   *
@@ -55,25 +56,13 @@ object TrussInsert {
     var k = 3
     while (k <= k2 && top == k - 1) {
       @inline def isCandidate(f: Int): Boolean = f == e0 || trn(f) == k - 1
-      // a triangle can exist in the new k-truss iff its other edges are
+      // a triangle can exist in the new k-truss iff its edges are all
       // settled or candidates
       @inline def fits(f: Int): Boolean = trn(f) >= k || isCandidate(f)
 
       peel.begin()
       peel.addMember(e0)
-      var next = 0
-      while (next < peel.memberCount) {
-        val f = peel.member(next)
-        next += 1
-        for (tid <- ts.byEdge(f)) {
-          val a = lo(tid, f); val b = hi(tid, f)
-          if (fits(a) && fits(b)) {
-            peel.addTriangle(tid)
-            if (isCandidate(a)) peel.addMember(a)
-            if (isCandidate(b)) peel.addMember(b)
-          }
-        }
-      }
+      peel.grow(tid => fits(ts.e1(tid)) && fits(ts.e2(tid)) && fits(ts.e3(tid)))(isCandidate)
       peel.fixpoint(k) { c => if (c == e0) top = k else upgraded += c }
       k += 1
     }

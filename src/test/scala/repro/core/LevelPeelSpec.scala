@@ -5,8 +5,8 @@ import repro.triangles.TriangleSet
 import repro.truss.TrussDecomposition
 import repro.Refs._
 
-/** The [[LevelPeel]] kernel alone, against the brute-force fixpoint and the
-  * MBA build.
+/** The [[LevelPeel]] kernel alone, against the brute-force fixpoint, the
+  * MBA build and a breadth-first search over the static k-truss.
   */
 class LevelPeelSpec extends AnyFunSuite {
 
@@ -48,6 +48,32 @@ class LevelPeelSpec extends AnyFunSuite {
           settled += 1
         }
         assert(settled == trn.count(_ >= k), s"k=$k: not every member settled")
+      }
+    }
+
+    test(s"$name: grow from one edge collects its triangle-connected component of the static k-truss") {
+      val trn = TrussDecomposition.trussness(ts)
+      val peel = new LevelPeel(ts)
+      for (k <- 3 to (3 +: trn).max; seed <- 0 until ts.m if trn(seed) >= k) {
+        def inTruss(tid: Int) = trn(ts.e1(tid)) >= k && trn(ts.e2(tid)) >= k && trn(ts.e3(tid)) >= k
+        // the reference: a BFS over the k-truss's triangles from the seed
+        val edges = scala.collection.mutable.LinkedHashSet(seed)
+        val tris = scala.collection.mutable.Set.empty[Int]
+        val frontier = scala.collection.mutable.Queue(seed)
+        while (frontier.nonEmpty)
+          for (tid <- ts.byEdge(frontier.dequeue()) if inTruss(tid) && tris.add(tid); f <- Seq(ts.e1(tid), ts.e2(tid), ts.e3(tid)))
+            if (edges.add(f)) frontier.enqueue(f)
+
+        peel.begin()
+        peel.addMember(seed)
+        peel.grow(inTruss)(trn(_) >= k)
+        val what = s"k=$k seed=$seed"
+        assert(peel.memberCount == edges.size && peel.triangleCount == tris.size, what)
+        peel.grow(inTruss)(trn(_) >= k)
+        assert(peel.memberCount == edges.size && peel.triangleCount == tris.size, s"$what: a second grow added more")
+        val kept = Set.newBuilder[Int]
+        peel.fixpoint(k)(kept += _)
+        assert(kept.result() == edges.toSet, s"$what: the fixpoint peeled a member")
       }
     }
   }

@@ -52,6 +52,23 @@ class TemporalGraphGenSpec extends AnyFunSuite {
     assert(tsC.deltaMax <= tsG.deltaMax / 10 + 1)
   }
 
+  test("coarsening buckets exactly factor consecutive stamps on both sides of 0, and rejects factor < 1") {
+    // one edge per stamp in -7..7, so each bucket's edges are the stamps it merged
+    val stamps = -7 to 7
+    val g = TemporalGraph.fromInteractions(stamps.map(t => (0, t + 8, t)))
+    for (factor <- 1 to 4) {
+      val c = TemporalGraphGen.coarsen(g, factor)
+      assert(c.m == g.m)
+      val byBucket = (0 until c.m).groupBy(e => c.timestamps(e).head).map { case (b, es) => b -> es.map(c.v(_) - 8).sorted }
+      for ((b, ts) <- byBucket) {
+        val full = (b * factor until (b + 1) * factor).filter(stamps.contains)
+        assert(ts == full, s"factor $factor bucket $b")
+      }
+      assert(byBucket.values.flatten.toSeq.sorted == stamps)
+    }
+    for (bad <- Seq(0, -2)) intercept[IllegalArgumentException](TemporalGraphGen.coarsen(g, bad))
+  }
+
   test("all eight dataset analogs are registered and resolvable by name") {
     assert(TemporalGraphGen.datasets.size == 8)
     for (cfg <- TemporalGraphGen.datasets)

@@ -3,7 +3,7 @@ package repro.truss
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TestGraphs
 import repro.tgraph.TemporalGraph
-import repro.triangles.DriverTriangles
+import repro.triangles.TriangleSet
 import repro.Refs._
 
 /** Static truss decomposition (substrate S5) against naive fixpoints. */
@@ -62,7 +62,10 @@ class TrussDecompositionSpec extends AnyFunSuite {
       val g = TestGraphs.random(seed)
       val ts = TestGraphs.tris(g)
       val delta = ts.deltaMax / 2
-      val trnD = TrussDecomposition.trussness(ts, i => ts.mts(i) <= delta)
+      // the δ-triangles alone, as their own store over the same edges
+      val dTris = (0 until ts.size).filter(ts.mts(_) <= delta)
+        .flatMap(i => Seq(ts.e1(i), ts.e2(i), ts.e3(i), ts.mts(i))).toArray
+      val trnD = TrussDecomposition.trussness(TriangleSet.fromPacked(dTris, ts.m))
       val kMax = if (trnD.isEmpty) 2 else trnD.max
       for (k <- 3 to kMax + 1) {
         val expected = TestGraphs.bruteTruss(ts, k, delta)
