@@ -172,11 +172,12 @@ object Benchmarks {
     * refresh, since TC is a view of those orders: each new slot enters its
     * level once, at its Lemma-7 estimate, and each entry that crosses
     * blocks, new or changed, is timed in the report's `orderMoveNs`; DC-IM =
-    * k-span maintenance + bringing the live table's DC, derived before the
-    * first insertion, up to date: its rows at or below the highest level
-    * the insertion changed. Each index is compared against its own
-    * from-scratch baseline (δ-triangle list + MBA + index build), as in
-    * Fig 16.
+    * k-span maintenance + a read that brings every row of the live table's
+    * DC, derived before the first insertion, current: the rows at or below
+    * the highest level the insertion changed, which the DC otherwise
+    * derives only when a query reaches them. Each index is compared
+    * against its own from-scratch baseline (δ-triangle list + MBA + index
+    * build), as in Fig 16.
     */
   def maintenanceBench(spark: SparkSession, cfg: GenConfig, ops: Int = 100,
                        seed: Long = 7): MaintenanceRow = {
@@ -190,7 +191,7 @@ object Benchmarks {
     val base = TemporalGraph.fromInteractions(kept.toSeq)
     val baseTs = DriverTriangles.enumerate(base)
     val st = DynamicState.fromGraph(base, baseTs, MBA.build(baseTs))
-    DCIndex.fromTable(st.tableView)
+    val dc = DCIndex.fromTable(st.tableView)
 
     var tcImTotal = 0.0
     var dcImTotal = 0.0
@@ -201,7 +202,7 @@ object Benchmarks {
       val kspanMs = (System.nanoTime() - t0) / 1e6
       perOp += kspanMs
       val t1 = System.nanoTime()
-      DCIndex.fromTable(st.tableView)
+      dc.deriveAll()
       val dcMs = (System.nanoTime() - t1) / 1e6
       tcImTotal += kspanMs
       dcImTotal += kspanMs + dcMs

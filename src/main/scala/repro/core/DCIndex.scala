@@ -43,21 +43,26 @@ final class DCNode private[core] (val k: Int, val delta: Int, val parent: Int,
   * The IES of the root or of a horizontal node (k, δ) is the block of span
   * δ in `E_k`, read in place as TC reads its rows; a vertical node's IES,
   * `T_{k,δ} \ T_{k+1,δ}`, is filtered from the suffix of `E_k` into a copy.
-  * Since the blocks move when the table changes, every read — `query`,
-  * `nodes`, the lookup runs, `totalEdgeEntries`, `approxBytes` — first
-  * brings the tree up to date if the table counts a mutation since the
-  * last derivation. Row k reads only levels k and k + 1 and row k + 1's
-  * lookup runs, so with K the highest level that changed since then (each
-  * level keeps the mutation count of its last change, stamped when an
-  * entry is added or moved), the rows above K are still current: they
-  * keep their nodes, ids and runs, and only rows K down to 3 are derived
-  * again, after the node list is cut back to row K's first node. A
+  * Since the blocks move when the table changes, a row is derived when a
+  * read reaches it. Row k reads only levels k and k + 1 and row k + 1's
+  * lookup runs, so with K the highest level that changed since the DC
+  * last looked at the table (each level keeps the mutation count of its
+  * last change, stamped when an entry is added or moved), the rows above K
+  * are still current: they keep their nodes, ids and runs, and only rows
+  * K down to 3 go stale. The index keeps `lo`, its lowest current row, and
+  * the lowest row its node list holds. A read at row k (`query`,
+  * `explain`) first marks rows K and below stale if the table changed,
+  * then derives rows `lo − 1` down to k only, after the node list is cut
+  * back to row `lo − 1`'s first node if the list holds that row. A read of
+  * the whole tree (`nodes`, the lookup runs, `totalEdgeEntries`,
+  * `approxBytes`, the derivation counters) brings every row current. So
+  * an insertion costs the DC nothing until a query reaches a row it
+  * changed, and a query above every changed level derives no row. A
   * trussness `raise` that keeps `kMax` stamps no level, so the rows wait
   * for the `setSpan`s that enter its new slots. A change of `kMax` moves
-  * the root, and every row is derived again. A table has one DC ([[DCIndex.fromTable]]), so a DC over
-  * a table that §VI maintenance repairs is current after every insertion,
-  * as TC is, at the cost of the rows the insertion reached; a [[DCNode]]
-  * read from `nodes` is valid until the table's next mutation.
+  * the root, and every row goes stale. A table has one DC
+  * ([[DCIndex.fromTable]]), which derives every row when it is made; a
+  * [[DCNode]] read from `nodes` is valid until the table's next mutation.
   *
   * A horizontal node's parent is the kept node of the previous column of
   * its row, whose block follows its own in `E_k`, so a chain of horizontal
@@ -77,9 +82,13 @@ final class DCNode private[core] (val k: Int, val delta: Int, val parent: Int,
   * (Theorem 3).
   */
 final class DCIndex private (table: KSpanTable) {
-  private var derivedAt = -1L
-  private var top = -1 // kMax at the last derivation
-  // the kept nodes, ids [0, nn): rows kMax down to 3, row k from rowFrom(k − 3)
+  private var derivedAt = -1L // the table's mutation count at the last look
+  private var top = -1 // kMax at the last look
+  // rows lo..top are current; the node list holds rows held..top, so
+  // held ≤ lo, and both are top + 1 while it holds no row
+  private var lo = 0
+  private var held = 0
+  // the kept nodes, ids [0, nn): rows top down to held, row k from rowFrom(k − 3)
   private var ns = new Array[DCNode](16)
   private var nn = 0
   // beside node i: the end of the maximal contiguous run of IESes that
@@ -92,7 +101,7 @@ final class DCIndex private (table: KSpanTable) {
   // positions, their representative node ids; binary search on δ
   private var starts: Array[Array[Int]] = _
   private var reps: Array[Array[Int]] = _
-  // what the last derivation rebuilt
+  // rows and nodes derived since the first look at the current mutation count
   private var rows = 0
   private var rebuilt = 0
 
@@ -101,17 +110,34 @@ final class DCIndex private (table: KSpanTable) {
   def deltaMax: Int = table.deltaMax
 
   /** A copy of the kept nodes, indexed by node id. */
-  def nodes: Array[DCNode] = { current(); java.util.Arrays.copyOf(ns, nn) }
+  def nodes: Array[DCNode] = { current(3); java.util.Arrays.copyOf(ns, nn) }
   /** The root (kMax, 0), derived first. */
   def rootId: Int = 0
-  def runStarts: Array[Array[Int]] = { current(); starts }
-  def runNodes: Array[Array[Int]] = { current(); reps }
+  def runStarts: Array[Array[Int]] = { current(3); starts }
+  def runNodes: Array[Array[Int]] = { current(3); reps }
 
-  /** Rows and nodes that the last derivation rebuilt: the DC nodes an
-    * insertion touched.
+  /** Rows and nodes derived since the first read that saw the table's
+    * current mutation count, every row brought current first: the DC
+    * nodes that the table's last changes touched.
     */
-  private[repro] def rowsDerived: Int = { current(); rows }
-  private[repro] def nodesDerived: Int = { current(); rebuilt }
+  private[repro] def rowsDerived: Int = { current(3); rows }
+  private[repro] def nodesDerived: Int = { current(3); rebuilt }
+
+  /** Bring every row current, without the copy that [[nodes]] makes. */
+  private[repro] def deriveAll(): Unit = current(3)
+
+  /** What a read of the whole tree would derive now, found without
+    * deriving: the stale rows, those at or below the highest level changed
+    * since the DC last looked and those that no read has reached since, or
+    * every row if `kMax` moved; and the nodes the list holds in those
+    * rows, which that read discards and derives anew.
+    */
+  private[repro] def owed: (Int, Int) =
+    if (table.kMax != top) (math.max(0, table.kMax - 2), nn)
+    else {
+      val hi = changedAbove(lo)
+      (math.max(0, hi - 2), if (hi >= held) nn - rowFrom(hi - 3) else 0)
+    }
 
   /** Edge ids of `T_{k,δ}`: resolve the representative node, then union the
     * IESes on the path to the root (disjoint by construction), one
@@ -161,7 +187,7 @@ final class DCIndex private (table: KSpanTable) {
   private def lookupRun(k: Int, delta: Int): Int =
     if (k <= 2 || k > kMax) -1
     else {
-      current()
+      current(k)
       val i = java.util.Arrays.binarySearch(starts(k - 3), delta)
       if (i >= 0) i else -i - 2
     }
@@ -169,7 +195,7 @@ final class DCIndex private (table: KSpanTable) {
   private def representative(k: Int, run: Int): Int = if (run < 0) -1 else reps(k - 3)(run)
 
   /** Total number of edge entries stored in IESes (Table II "total edge #"). */
-  def totalEdgeEntries: Long = { current(); ns.iterator.take(nn).map(_.size.toLong).sum }
+  def totalEdgeEntries: Long = { current(3); ns.iterator.take(nn).map(_.size.toLong).sum }
 
   /** Approximate serialized size in bytes: 8 per IES edge entry + 16 per
     * tree node + 8 per lookup run.
@@ -177,15 +203,46 @@ final class DCIndex private (table: KSpanTable) {
   def approxBytes: Long =
     totalEdgeEntries * 8L + nn * 16L + runStarts.iterator.map(_.length.toLong).sum * 8L
 
-  /** Derive again the rows at or below K, the highest level changed since
-    * the last derivation, or every row if `kMax` moved, as the root moves
-    * with it.
+  /** Rows k and above current: the one check on the read path. */
+  @inline private def current(k: Int): Unit = if (derivedAt != table.mutations || k < lo) refresh(k)
+
+  /** If the table changed since the last look, mark the rows at or below
+    * the highest level it changed stale, or every row if `kMax` moved, as
+    * the root moves with it; then derive the stale rows down to k.
     */
-  private def current(): Unit = if (derivedAt != table.mutations) {
-    var hi = table.kMax
-    if (hi == top) while (hi >= 3 && table.level(hi).changedAt <= derivedAt) hi -= 1
-    derivedAt = table.mutations
-    derive(hi)
+  private def refresh(k: Int): Unit = {
+    if (derivedAt != table.mutations) {
+      if (table.kMax != top) restart()
+      else lo = changedAbove(lo) + 1
+      derivedAt = table.mutations
+      rows = 0
+      rebuilt = 0
+    }
+    if (k < lo) derive(k)
+  }
+
+  /** The highest level at or above `floor` changed since the last look,
+    * or `floor − 1` if none.
+    */
+  private def changedAbove(floor: Int): Int = {
+    var hi = top
+    while (hi >= floor && table.level(hi).changedAt <= derivedAt) hi -= 1
+    hi
+  }
+
+  /** Drop every row for a new `kMax`; a table of `kMax < 3` gets its one
+    * empty root.
+    */
+  private def restart(): Unit = {
+    top = table.kMax
+    starts = new Array[Array[Int]](math.max(0, top - 2))
+    reps = new Array[Array[Int]](starts.length)
+    rowFrom = new Array[Int](starts.length)
+    java.util.Arrays.fill(ns.asInstanceOf[Array[AnyRef]], 0, nn, null)
+    nn = 0
+    lo = top + 1
+    held = top + 1
+    if (top < 3) push(new DCNode(3, 0, -1, Array.emptyIntArray, 0, 0))
   }
 
   /** Appends `n` and sets its run columns from its parent's, which is
@@ -211,27 +268,19 @@ final class DCIndex private (table: KSpanTable) {
     nn - 1
   }
 
-  /** Rows `hi` down to 3. Row k reads only levels k and k + 1 and row
-    * k + 1's lookup runs, so the rows above `hi` keep their nodes, ids and
-    * runs; their nodes are a prefix of the node list, cut at row `hi`'s
-    * first node.
+  /** Rows `lo − 1` down to `to`. Row k reads only levels k and k + 1 and
+    * row k + 1's lookup runs, so the rows from `lo` up keep their nodes,
+    * ids and runs; their nodes are a prefix of the node list, cut at row
+    * `lo − 1`'s first node if the list holds that row.
     */
-  private def derive(hi: Int): Unit = {
-    val kMax = table.kMax
+  private def derive(to: Int): Unit = {
+    val kMax = top
     val before = nn
-    if (kMax != top) {
-      top = kMax
-      starts = new Array[Array[Int]](math.max(0, kMax - 2))
-      reps = new Array[Array[Int]](starts.length)
-      rowFrom = new Array[Int](starts.length)
-      nn = 0
-    }
-    if (hi >= 3) nn = rowFrom(hi - 3)
+    if (held < lo) nn = rowFrom(lo - 1 - 3)
     val first = nn
-    if (kMax < 3 && nn == 0) push(new DCNode(3, 0, -1, Array.emptyIntArray, 0, 0))
 
-    var k = hi
-    while (k >= 3) {
+    var k = lo - 1
+    while (k >= to) {
       rowFrom(k - 3) = nn
       val row = table.level(k)
       val hasV = k < kMax
@@ -290,8 +339,10 @@ final class DCIndex private (table: KSpanTable) {
       reps(k - 3) = runN.result()
       k -= 1
     }
-    rows = math.max(0, hi - 2)
-    rebuilt = nn - first
+    rows += lo - to
+    rebuilt += nn - first
+    lo = to
+    held = to
     if (nn < before) java.util.Arrays.fill(ns.asInstanceOf[Array[AnyRef]], nn, before, null)
   }
 }
@@ -305,13 +356,13 @@ object DCIndex {
     */
   final case class Explain(run: Int, node: Int, pathNodes: Int, runs: Vector[Int])
 
-  /** The one DC over `t`, made on the first call and kept on the table, as
-    * TC is a view of it: current as `t` stands, and kept current row by
-    * row on its first read after `t` changes.
+  /** The one DC over `t`, kept on the table, as TC is a view of it: made,
+    * with every row derived, on the first call, and returned as it stands
+    * after that, each row derived again when a read reaches it after `t`
+    * changes it.
     */
   def fromTable(t: KSpanTable): DCIndex = {
-    if (t.dc == null) t.dc = new DCIndex(t)
-    t.dc.current()
+    if (t.dc == null) { t.dc = new DCIndex(t); t.dc.deriveAll() }
     t.dc
   }
 }

@@ -232,7 +232,7 @@ final class KSpanTable private (
     /** The first block of span ≤ `d`, or `blocks` if none: one binary
       * search of the descending keys of `D_k`.
       */
-    private def firstBlockAtMost(d: Int): Int = {
+    private[core] def firstBlockAtMost(d: Int): Int = {
       var lo = 0; var hi = nb
       while (lo < hi) {
         val mid = (lo + hi) >>> 1

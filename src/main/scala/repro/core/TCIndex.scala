@@ -29,6 +29,21 @@ final class TCIndex private (table: KSpanTable) {
     else if (k > kMax) Array.emptyIntArray
     else row(k).atMost(delta)
 
+  /** How [[query]] answers (k, δ), with no counter on the read path: the
+    * block of `D_k` its binary search finds, the first of span ≤ δ
+    * (`blocks` if none), and the length of the suffix of `E_k` it copies
+    * from there. `k ≤ 2` and `k > kMax` are answered without a row: block
+    * −1, and the whole graph or nothing.
+    */
+  def explain(k: Int, delta: Int): TCIndex.Explain =
+    if (k <= 2) TCIndex.Explain(-1, m)
+    else if (k > kMax) TCIndex.Explain(-1, 0)
+    else {
+      val r = row(k)
+      val b = r.firstBlockAtMost(delta)
+      TCIndex.Explain(b, if (b == r.blocks) 0 else r.size - r.start(b))
+    }
+
   private def rows: Iterator[KSpanTable#Level] = (3 to kMax).iterator.map(row)
 
   /** Total number of edge entries `Σ_k |E_k|` (Table II "total edge #"). */
@@ -49,6 +64,11 @@ final class TCIndex private (table: KSpanTable) {
 }
 
 object TCIndex {
+
+  /** What [[TCIndex.explain]] reports for one (k, δ): the directory block
+    * probed in row k and the length of the suffix copied from it.
+    */
+  final case class Explain(block: Int, suffix: Int)
 
   /** A view of `t`'s level orders, `O(1)`: the table keeps them in TC
     * order from its allocation on, so nothing is sorted or copied here.

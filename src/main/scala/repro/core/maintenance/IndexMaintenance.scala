@@ -78,6 +78,14 @@ object IndexMaintenance {
         * orders, changed entries and new ones alike: the table's clock
         * around `Level.relocate` */
       orderMoveNs: Long,
+      /** what the table's DC owes after the insertion, read off its row
+        * offsets with nothing derived: the rows that the next read of the
+        * whole tree derives, those at or below the highest level changed
+        * since the DC last looked and those no read has reached since, or
+        * every row if `kMax` moved; 0 if the table has no DC */
+      dcStaleRows: Int,
+      /** the nodes the DC holds in those rows, which that read discards */
+      dcStaleNodes: Int,
   )
 
   /** Insert temporal edge `(u, v, t)` and restore the full k-span state.
@@ -238,12 +246,13 @@ object IndexMaintenance {
       }
       k -= 1
     }
+    val (dcRows, dcNodes) = if (table.dc == null) (0, 0) else table.dc.owed
     // a level stamped since mods0 had an entry added or moved
     InsertReport(newStaticEdge, verifiedKs, regionEdges, changedSpans,
       changedLevels = (3 to table.kMax).filter(table.level(_).changedAt > mods0).toSet,
       candidateTris = tids.length, lemma5Skips = skips, regionTris = regionTris,
       trussInsertNs = trussInsertNs, lemma5Ns = lemma5Ns, gasNs = gasNs, peelNs = peelNs,
-      orderMoveNs = table.orderMoveNanos - moves0)
+      orderMoveNs = table.orderMoveNanos - moves0, dcStaleRows = dcRows, dcStaleNodes = dcNodes)
   }
 
   /** GAS (Algorithm 1) for one k level: marks the region's edges as the

@@ -15,9 +15,10 @@ import repro.triangles.DriverTriangles
   * as real data arrives. Both hold new-edge reinserts into the planted
   * core, the slowest of the workload, each of which verifies dozens of
   * levels and fills the new k-span slots of every level it reaches. Every
-  * 50 inserts the held DC, kept current row by row, equals one derived
-  * from scratch over a copy of the table, and its answers on the Fig 11/12
-  * grid equal the node-by-node union along each representative's path;
+  * 50 inserts the held DC, each of whose rows is derived when a read
+  * reaches it, equals one derived from scratch over a copy of the table,
+  * and its answers on the Fig 11/12 grid equal the node-by-node union
+  * along each representative's path;
   * every 500 inserts and after the last, [[Canonical.assertFresh]] holds
   * the live table and both indexes to an MBA rebuild.
   */

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropCheck
 import repro.Refs._
+import repro.core.maintenance.{DynamicState, IndexMaintenance}
 
 /** DC-Index derivation chain (Definitions 6–8) + DC-Query (§IV-B). */
 class DCIndexSpec extends AnyFunSuite with PropCheck {
@@ -299,6 +300,97 @@ class DCIndexSpec extends AnyFunSuite with PropCheck {
     for (k <- 3 to kMax + 1) t.setSpan(t.m - 1, k, 0)
     assert(dc.rowsDerived == kMax - 1 && dc.nodesDerived == dc.nodes.length)
     assertFromScratch(dc, t, "after a raise of kMax")
+  }
+
+  test("after kMax moves, a read at k = 10 derives rows down to 10 only, and a read at k = 3 then keeps them") {
+    val t = MBA.build(TestGraphs.tris(TestGraphs.plantedCore._1))
+    val dc = DCIndex.fromTable(t)
+    val kMax = t.kMax
+    assert(kMax > 10)
+    t.appendEdge()
+    t.raise(t.m - 1, kMax + 1)
+    for (k <- 3 to kMax + 1) t.setSpan(t.m - 1, k, t.deltaMax)
+    val fresh = DCIndex.fromTable(t.copy())
+    val d = t.deltaMax / 2
+    // every row is stale: the read at 10 derives rows kMax + 1 down to 10,
+    // and the node list holds no row below them
+    assert(dc.query(10, d).sorted.toSeq == fresh.query(10, d).sorted.toSeq)
+    assert(dc.owed == (7, 0))
+    // the read down to row 3 walks no path, so a node list cut at a row it
+    // never held shows here as missing nodes rather than as a broken path
+    val ns = dc.nodes
+    val (got, want) = (ns.length, fresh.nodes.length)
+    assert(got == want, "nodes after the read down to row 3")
+    assert(ns(0).k == kMax + 1 && ns(0).parent == -1, "the root was overwritten")
+    // the counters count every row from the first read after the raise
+    assert(dc.rowsDerived == kMax - 1)
+    assert(dc.query(3, d).sorted.toSeq == fresh.query(3, d).sorted.toSeq)
+    assert(dc.owed == (0, 0))
+    for (k <- 2 to kMax + 2; d <- Seq(0, d, t.deltaMax))
+      assert(dc.query(k, d).sorted.toSeq == t.trussEdges(k, d).toSeq, s"k=$k d=$d")
+    assertFromScratch(dc, t, "after reads at k = 10 and k = 3")
+  }
+
+  /** The planted 14-clique's state and 40 seeded new timestamps on its
+    * edges, most on edges outside the clique, whose insertion changes
+    * only low levels.
+    */
+  private def plantedStream: (DynamicState, Seq[(Int, Int, Int)]) = {
+    val g = TestGraphs.plantedCore._1
+    val ts = TestGraphs.tris(g)
+    val rnd = new scala.util.Random(5)
+    val xs = Seq.fill(40) { val e = g.edges(rnd.nextInt(g.m)); (e.u, e.v, g.tMin + rnd.nextInt(g.tMax - g.tMin + 1)) }
+    (DynamicState.fromGraph(g, ts, MBA.build(ts)), TestGraphs.plantedCore._2 ++ xs)
+  }
+
+  test("an insert reports the DC rows and nodes that the next full read derives again") {
+    val (st, xs) = plantedStream
+    val (u0, v0, t0) = xs.head
+    val r0 = IndexMaintenance.insert(st, u0, v0, t0)
+    assert(r0.changedLevels.nonEmpty && r0.dcStaleRows == 0 && r0.dcStaleNodes == 0, "a table with no DC owes nothing")
+    val dc = DCIndex.fromTable(st.tableView)
+    var stale = 0
+    for ((u, v, t) <- xs.tail) {
+      val before = dc.nodes
+      val (kMax, mods) = (st.tableView.kMax, st.tableView.mutations)
+      val rep = IndexMaintenance.insert(st, u, v, t)
+      val top = if (st.tableView.kMax != kMax) st.tableView.kMax else rep.changedLevels.maxOption.getOrElse(2)
+      val ctx = s"insert ($u, $v, $t), levels ${rep.changedLevels}"
+      assert(rep.dcStaleRows == top - 2, ctx)
+      // the counters count from the first read at a new mutation count
+      if (st.tableView.mutations == mods) assert(rep.dcStaleNodes == 0, ctx)
+      else {
+        val after = dc.nodes
+        assert(dc.rowsDerived == rep.dcStaleRows, ctx)
+        // the read keeps the nodes of the rows above the stale ones
+        val kept = before.length - rep.dcStaleNodes
+        assert(after.length - dc.nodesDerived == kept, ctx)
+        assert((0 until kept).forall(i => after(i) eq before(i)), ctx)
+      }
+      if (rep.dcStaleRows > 0) stale += 1
+    }
+    assert(stale > 0)
+    assertFromScratch(dc, st.tableView, "after the stream")
+  }
+
+  test("a query above every level an insert changed derives no row") {
+    val (st, xs) = plantedStream
+    val dc = DCIndex.fromTable(st.tableView)
+    // the first insert that changes some levels, all below kMax
+    val (x, rep) = xs.iterator.map { case (u, v, t) => dc.deriveAll(); ((u, v, t), IndexMaintenance.insert(st, u, v, t)) }
+      .find { case (_, r) => r.changedLevels.nonEmpty && r.changedLevels.max < st.tableView.kMax }.get
+    val top = rep.changedLevels.max
+    assert(rep.dcStaleRows == top - 2 && rep.dcStaleNodes > 0)
+    val fresh = DCIndex.fromTable(st.tableView.copy())
+    for (k <- top + 1 to st.tableView.kMax; d <- Seq(0, st.tableView.deltaMax / 2, st.tableView.deltaMax))
+      assert(dc.query(k, d).sorted.toSeq == fresh.query(k, d).sorted.toSeq, s"k=$k d=$d")
+    // the same interaction again changes nothing, and its report shows
+    // that the queries left every stale row as it was
+    val again = IndexMaintenance.insert(st, x._1, x._2, x._3)
+    assert(again.changedLevels.isEmpty)
+    assert((again.dcStaleRows, again.dcStaleNodes) == (rep.dcStaleRows, rep.dcStaleNodes))
+    assert(dc.query(3, st.tableView.deltaMax).sorted.toSeq == fresh.query(3, st.tableView.deltaMax).sorted.toSeq)
+    assertFromScratch(dc, st.tableView, s"after the insert of $x")
   }
 
   test("wide timestamps: a grid of more than Int.MaxValue cells answers like TC and the table") {

@@ -118,6 +118,55 @@ class InsertStreamSpec extends AnyFunSuite with PropCheck {
       true
     }, minTests = 500)
   }
+
+  /** A cell to read after one insert: `kind` picks k, and `x` picks δ and
+    * the offsets.
+    */
+  private val readGen: Gen[(Int, Int)] = for {
+    kind <- Gen.choose(0, 4)
+    x <- Gen.choose(0, 1 << 16)
+  } yield (kind, x)
+
+  test("property: a kept DC read at one cell per insert answers as TC and a fresh DC, and ends equal to a fresh one") {
+    // inserts after which the read left some rows stale for the next one
+    var carried = 0
+    checkProp(Prop.forAllNoShrink(caseGen, Gen.listOfN(24, readGen)) { case ((seed, nV, pEdge, horizon, ops), reads) =>
+      val g = TestGraphs.random(seed, nV = nV, pEdge = pEdge, horizon = horizon)
+      val ts0 = DriverTriangles.enumerate(g)
+      val st = DynamicState.fromGraph(g, ts0, MBA.build(ts0))
+      val tc = TCIndex.fromTable(st.tableView)
+      val dc = DCIndex.fromTable(st.tableView)
+      val ctx = s"seed=$seed nV=$nV pEdge=$pEdge horizon=$horizon ops=$ops reads=$reads"
+      var i = 0
+      for (op <- ops) {
+        val (xs, rejected) = interactions(st, op)
+        if (!rejected) for ((u, v, t) <- xs) {
+          val rep = IndexMaintenance.insert(st, u, v, t)
+          val table = st.tableView
+          val (kind, x) = reads(i % reads.length)
+          // k = 3, k = kMax, k above every level this insert changed (past
+          // kMax if it changed the top), or any k from 2 to kMax + 1
+          val k = kind match {
+            case 0 => 3
+            case 1 => table.kMax
+            case 2 | 3 => math.min(table.kMax + 1, rep.changedLevels.maxOption.getOrElse(2) + 1 + x % 3)
+            case _ => 2 + x % table.kMax
+          }
+          val d = if (x % 5 == 0) table.deltaMax else (x.toLong % (table.deltaMax + 2L)).toInt
+          val fresh = DCIndex.fromTable(table.copy())
+          val got = dc.query(k, d).sorted.toSeq
+          val at = s"$ctx: insert $i ($u, $v, $t), read (k=$k, δ=$d)"
+          assert(got == tc.query(k, d).sorted.toSeq, s"$at: the kept DC answered unlike TC")
+          assert(got == fresh.query(k, d).sorted.toSeq, s"$at: the kept DC answered unlike a fresh DC")
+          if (dc.owed._1 > 0) carried += 1
+          i += 1
+        }
+      }
+      Canonical.same(Canonical.dc(dc), Canonical.dc(DCIndex.fromTable(st.tableView.copy())), s"$ctx: the kept DC diverged from a fresh one")
+      true
+    }, minTests = 300)
+    assert(carried > 0, "no read left a stale row for the next insert")
+  }
 }
 
 object InsertStreamSpec {

@@ -75,6 +75,23 @@ class TCIndexSpec extends AnyFunSuite {
     assert(idx.query(idx.kMax + 1, ts.deltaMax).isEmpty)
   }
 
+  for (seed <- 0 until 15) {
+    test(s"random graph seed=$seed: explain's suffix is the answer's length, from the first block of span ≤ δ, on every cell") {
+      val (ts, idx) = build(seed)
+      for ((k, d) <- (0 to ts.deltaMax + 1).map((2, _)) ++ TestGraphs.allParams(ts, idx.kMax)) {
+        val ex = idx.explain(k, d)
+        assert(ex.suffix == idx.query(k, d).length, s"k=$k d=$d")
+        if (k <= 2 || k > idx.kMax) assert(ex.block == -1, s"k=$k d=$d")
+        else {
+          val r = idx.row(k)
+          assert(ex.block >= 0 && ex.block <= r.blocks, s"k=$k d=$d")
+          assert(ex.block == r.blocks || r.span(ex.block) <= d, s"k=$k d=$d: block ${ex.block} has a span above δ")
+          assert(ex.block == 0 || r.span(ex.block - 1) > d, s"k=$k d=$d: block ${ex.block - 1} has a span ≤ δ")
+        }
+      }
+    }
+  }
+
   test("size bound of Theorem 1: entries ≤ kmax·(|E| + δmax)") {
     val (ts, idx) = build(6)
     assert(idx.totalEdgeEntries <= idx.kMax.toLong * ts.m)
